@@ -14,6 +14,15 @@ representation and an on-the-wire byte encoding.  The Fig 6 sublayered
 TCP header and the RFC 793 header are both declared this way, which is
 what lets :mod:`repro.analysis.headers` check their isomorphism field
 by field.
+
+Because a format is a fixed list of fixed-width fields, its wire image
+is *derived* once, at construction: :attr:`HeaderFormat.plan` holds one
+``(name, shift, mask, default)`` entry per field, so the byte path
+(:meth:`~HeaderFormat.pack_int` / :meth:`~HeaderFormat.unpack_int` and
+their ``_bytes`` forms) is one shift-or accumulation into a Python int.
+The :class:`Bits` path (``pack``/``unpack``/``split``) walks the fields
+bit by bit; the bit-level data link rides on it, and the tests hold the
+two equal for every format the package declares.
 """
 
 from __future__ import annotations
@@ -77,19 +86,32 @@ class HeaderFormat:
         self.name = name
         self.fields: tuple[Field, ...] = tuple(resolved)
         self._by_name: dict[str, Field] = {f.name: f for f in self.fields}
+        #: Total header width in bits.
+        self.bit_width: int = sum(f.width for f in self.fields)
+        self._byte_width: int | None = (
+            self.bit_width // 8 if self.bit_width % 8 == 0 else None
+        )
+        #: The field names, for membership checks.
+        self.names: frozenset[str] = frozenset(self._by_name)
+        #: Field name -> default, in field order.  Shared: do not mutate.
+        self.defaults: dict[str, int] = {f.name: f.default for f in self.fields}
+        plan = []
+        shift = self.bit_width
+        for field in self.fields:
+            shift -= field.width
+            plan.append((field.name, shift, field.max_value, field.default))
+        #: One ``(name, shift, mask, default)`` per field: the field's
+        #: value sits at ``(header >> shift) & mask`` of the header read
+        #: as one big-endian integer of ``bit_width`` bits.
+        self.plan: tuple[tuple[str, int, int, int], ...] = tuple(plan)
 
     # ------------------------------------------------------------------
     @property
-    def bit_width(self) -> int:
-        """Total header width in bits."""
-        return sum(f.width for f in self.fields)
-
-    @property
     def byte_width(self) -> int:
         """Total header width in bytes; raises if not byte aligned."""
-        if self.bit_width % 8 != 0:
+        if self._byte_width is None:
             raise HeaderError(f"header {self.name!r} is not byte aligned")
-        return self.bit_width // 8
+        return self._byte_width
 
     def field(self, name: str) -> Field:
         try:
@@ -119,25 +141,53 @@ class HeaderFormat:
     # ------------------------------------------------------------------
     def pack(self, values: Mapping[str, int] | None = None) -> Bits:
         """Encode field values to bits; missing fields take their default."""
-        values = dict(values or {})
-        unknown = set(values) - set(self._by_name)
-        if unknown:
-            raise HeaderError(
-                f"unknown fields for header {self.name!r}: {sorted(unknown)}"
-            )
+        values = values or {}
+        self._reject_unknown(values)
         out = Bits()
         for field in self.fields:
             value = int(values.get(field.name, field.default))
             if not (0 <= value <= field.max_value):
-                raise HeaderError(
-                    f"value {value} does not fit field {field.name!r} "
-                    f"({field.width} bits) of header {self.name!r}"
-                )
+                raise self._misfit(field.name, value)
             out = out + Bits.from_int(value, field.width)
         return out
 
+    def pack_int(self, values: Mapping[str, int] | None = None) -> int:
+        """Encode field values to one ``bit_width``-bit big-endian integer."""
+        values = values or self.defaults
+        if not self.names.issuperset(values):
+            self._reject_unknown(values)
+        get = values.get
+        packed = 0
+        for name, shift, mask, default in self.plan:
+            value = get(name, default)
+            if value.__class__ is not int:
+                value = int(value)
+            if value & mask != value:  # negative, or wider than the field
+                raise self._misfit(name, value)
+            packed |= value << shift
+        return packed
+
     def pack_bytes(self, values: Mapping[str, int] | None = None) -> bytes:
-        return self.pack(values).to_bytes()
+        packed = self.pack_int(values)
+        if self._byte_width is None:
+            # What ``pack(values).to_bytes()`` says of an unaligned format.
+            raise ValueError(
+                f"bit length {self.bit_width} is not a whole number of bytes"
+            )
+        return packed.to_bytes(self._byte_width, "big")
+
+    def _reject_unknown(self, values: Mapping[str, int]) -> None:
+        unknown = set(values) - self.names
+        if unknown:
+            raise HeaderError(
+                f"unknown fields for header {self.name!r}: {sorted(unknown)}"
+            )
+
+    def _misfit(self, name: str, value: int) -> HeaderError:
+        return HeaderError(
+            f"value {value} does not fit field {name!r} "
+            f"({self._by_name[name].width} bits) of header {self.name!r}"
+        )
 
     def unpack(self, bits: Bits) -> dict[str, int]:
         """Decode exactly one header's worth of leading bits."""
@@ -153,8 +203,23 @@ class HeaderFormat:
             offset += field.width
         return values
 
+    def unpack_int(self, packed: int) -> dict[str, int]:
+        """Decode a header held as one ``bit_width``-bit integer."""
+        return {
+            name: (packed >> shift) & mask for name, shift, mask, _ in self.plan
+        }
+
     def unpack_bytes(self, data: bytes) -> dict[str, int]:
-        return self.unpack(Bits.from_bytes(data[: (self.bit_width + 7) // 8]))
+        """Decode the leading ``bit_width`` bits of ``data``."""
+        span = (self.bit_width + 7) // 8
+        if len(data) < span:
+            raise HeaderError(
+                f"need {self.bit_width} bits for header {self.name!r}, "
+                f"got {8 * len(data)}"
+            )
+        return self.unpack_int(
+            int.from_bytes(data[:span], "big") >> (8 * span - self.bit_width)
+        )
 
     def split(self, bits: Bits) -> tuple[dict[str, int], Bits]:
         """Decode the leading header and return (values, remaining bits)."""

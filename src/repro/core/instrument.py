@@ -20,9 +20,15 @@ the resulting :class:`AccessLog` we derive:
   that sublayer) in :mod:`repro.core.litmus`;
 * the **entanglement metrics** of :mod:`repro.analysis.entanglement`.
 
-Instrumentation is always on; its cost is one conditional and an
-optional list append per state access, which the tuning benchmark
-(C3) accounts for explicitly.
+What a state access costs depends on the log the container was given.
+With a recording :class:`AccessLog` (the ``full`` wiring tier) every
+read and write goes through Python-level ``__getattribute__`` /
+``__setattr__``, one ``ContextVar.get`` and one :class:`Access`
+appended to the log.  With a :class:`NullAccessLog` (tiers ``metrics``
+and ``off``) the container switches to a class that overrides neither,
+so an access is an ordinary instance-attribute load or store and costs
+what ``obj.x`` costs.  The tuning benchmark (C3) and the hop-cost
+benchmark (C7) report the ratio between the two.
 """
 
 from __future__ import annotations
@@ -143,11 +149,12 @@ class NullAccessLog(AccessLog):
     """An access log that drops everything.
 
     Installed into every :class:`InstrumentedState` by the ``metrics``
-    and ``off`` wiring tiers: state containers keep their logging calls,
-    but each one is a no-op method dispatch instead of a conditional
-    plus a dataclass allocation plus a list append.  Litmus analyses
-    over a null log see an empty record set, which is why litmus tests
-    must run at the ``full`` tier (see DESIGN.md).
+    and ``off`` wiring tiers.  A container given a null log stops
+    logging altogether — its reads and writes become plain attribute
+    loads and stores, with no call into the log — so ``record`` here is
+    only reached by code that calls it directly.  Litmus analyses over
+    a null log see an empty record set, which is why litmus tests must
+    run at the ``full`` tier (see DESIGN.md).
     """
 
     def __init__(self) -> None:
@@ -165,55 +172,89 @@ class InstrumentedState:
     per-connection state, or ``"pcb"`` for the monolithic TCP's PCB).
     Attributes must be declared by assignment before first read, as with
     a normal object.
+
+    Field values live in the instance ``__dict__``; the target name and
+    the log live in slots beside it.  Assigning ``_log`` (as
+    ``Stack.set_tier`` does) also picks the instance's class: this one,
+    whose ``__getattribute__``/``__setattr__`` record each field access,
+    or :class:`_QuietState` when the log is a :class:`NullAccessLog`.
     """
 
-    _RESERVED = frozenset({"_log", "_target", "_values"})
+    __slots__ = ("_target", "_access_log", "__dict__")
+
+    _RESERVED = frozenset({"_log", "_target", "_access_log", "__class__"})
 
     def __init__(self, target: str, log: AccessLog | None = None, **initial: Any):
-        object.__setattr__(self, "_target", target)
-        object.__setattr__(self, "_log", log or AccessLog())
-        object.__setattr__(self, "_values", {})
+        self._target = target
+        self._log = log or AccessLog()
         for name, value in initial.items():
             setattr(self, name, value)
 
     @property
+    def _log(self) -> AccessLog:
+        return self._access_log
+
+    @_log.setter
+    def _log(self, log: AccessLog) -> None:
+        self._access_log = log
+        self.__class__ = (
+            _QuietState if isinstance(log, NullAccessLog) else InstrumentedState
+        )
+
+    @property
     def access_log(self) -> AccessLog:
-        return object.__getattribute__(self, "_log")
+        return self._access_log
 
     @property
     def target_name(self) -> str:
-        return object.__getattribute__(self, "_target")
+        return self._target
+
+    def __getattribute__(self, name: str) -> Any:
+        values = object.__getattribute__(self, "__dict__")
+        if name in values:
+            object.__getattribute__(self, "_access_log").record(
+                _CURRENT_ACTOR.get(),
+                object.__getattribute__(self, "_target"),
+                name,
+                "read",
+            )
+            return values[name]
+        return object.__getattribute__(self, name)
 
     def __getattr__(self, name: str) -> Any:
+        # Reached only when normal lookup failed: an undeclared field.
         if name.startswith("__") or name in self._RESERVED:
             raise AttributeError(name)
-        values = object.__getattribute__(self, "_values")
-        if name not in values:
-            raise AttributeError(
-                f"state {object.__getattribute__(self, '_target')!r} "
-                f"has no field {name!r}"
-            )
-        log = object.__getattribute__(self, "_log")
-        log.record(current_actor(), object.__getattribute__(self, "_target"), name, "read")
-        return values[name]
+        raise AttributeError(f"state {self._target!r} has no field {name!r}")
 
     def __setattr__(self, name: str, value: Any) -> None:
         if name in self._RESERVED:
             object.__setattr__(self, name, value)
             return
-        values = object.__getattribute__(self, "_values")
-        log = object.__getattribute__(self, "_log")
-        log.record(current_actor(), object.__getattribute__(self, "_target"), name, "write")
-        values[name] = value
+        object.__getattribute__(self, "_access_log").record(
+            _CURRENT_ACTOR.get(),
+            object.__getattribute__(self, "_target"),
+            name,
+            "write",
+        )
+        object.__getattribute__(self, "__dict__")[name] = value
 
     def snapshot(self) -> dict[str, Any]:
         """Copy of all fields without logging (for debugging/reports)."""
-        return dict(object.__getattribute__(self, "_values"))
+        return dict(object.__getattribute__(self, "__dict__"))
 
     def field_names(self) -> set[str]:
-        return set(object.__getattribute__(self, "_values"))
+        return set(object.__getattribute__(self, "__dict__"))
 
     def __repr__(self) -> str:
-        target = object.__getattribute__(self, "_target")
-        fields = sorted(object.__getattribute__(self, "_values"))
-        return f"InstrumentedState({target!r}, fields={fields})"
+        fields = sorted(object.__getattribute__(self, "__dict__"))
+        return f"InstrumentedState({self._target!r}, fields={fields})"
+
+
+class _QuietState(InstrumentedState):
+    """An :class:`InstrumentedState` whose log is null: plain attributes."""
+
+    __slots__ = ()
+
+    __getattribute__ = object.__getattribute__
+    __setattr__ = object.__setattr__

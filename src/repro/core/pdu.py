@@ -41,12 +41,11 @@ class Pdu:
         self.format = fmt
         self.header = dict(header or {})
         self.inner = inner
-        if fmt is not None:
-            unknown = set(self.header) - set(fmt.field_names())
-            if unknown:
-                raise HeaderError(
-                    f"header values {sorted(unknown)} not in format {fmt.name!r}"
-                )
+        if fmt is not None and not fmt.names.issuperset(self.header):
+            unknown = set(self.header) - fmt.names
+            raise HeaderError(
+                f"header values {sorted(unknown)} not in format {fmt.name!r}"
+            )
 
     # ------------------------------------------------------------------
     def field(self, name: str) -> int:
@@ -154,8 +153,6 @@ def unwrap(pdu: Pdu, expected_owner: str) -> tuple[dict[str, int], Any]:
         raise HeaderError(
             f"expected outer header from {expected_owner!r}, got {pdu.owner!r}"
         )
-    values = dict(pdu.header)
-    if pdu.format is not None:
-        for field in pdu.format.fields:
-            values.setdefault(field.name, field.default)
-    return values, pdu.inner
+    if pdu.format is None:
+        return dict(pdu.header), pdu.inner
+    return {**pdu.format.defaults, **pdu.header}, pdu.inner

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.errors import ReproError
+from ..core.errors import HeaderError, ReproError
 from ..core.header import HeaderFormat
 from ..core.pdu import Pdu
 
@@ -62,11 +62,30 @@ class WireCodec:
         self.name = name
         self.magic = magic
         self.layers: tuple[tuple[str, HeaderFormat], ...] = tuple(layers)
-        for owner, fmt in self.layers:
-            # byte_width raises HeaderError for unaligned formats —
-            # surface that at declaration time, not per packet.
-            fmt.byte_width
         self._owners = [owner for owner, _ in self.layers]
+        # Everything a datagram's ``present`` byte decides, worked out
+        # once: where the headers end, and each field's place in the
+        # header block read as one big-endian integer (the per-format
+        # plans, shifted by the headers that follow).  byte_width raises
+        # HeaderError for an unaligned format — at declaration time, not
+        # per packet.
+        #: ``_header_end[k]``: datagram offset where k headers end.
+        self._header_end = [3]
+        for _owner, fmt in self.layers:
+            self._header_end.append(self._header_end[-1] + fmt.byte_width)
+        #: ``_decode_plan[k]``: k layers, innermost first, as
+        #: ``(owner, format, ((field, shift, mask), ...))``.
+        self._decode_plan: list[tuple] = [()]
+        for present in range(1, len(self.layers) + 1):
+            below = 0
+            plan = []
+            for owner, fmt in reversed(self.layers[:present]):
+                fields = tuple(
+                    (name, shift + below, mask) for name, shift, mask, _ in fmt.plan
+                )
+                plan.append((owner, fmt, fields))
+                below += fmt.bit_width
+            self._decode_plan.append(tuple(plan))
 
     # ------------------------------------------------------------------
     def encode(self, unit: Pdu) -> bytes:
@@ -76,38 +95,50 @@ class WireCodec:
                 f"codec {self.name!r} can only encode Pdu units, "
                 f"got {type(unit).__name__}"
             )
-        chain = list(unit.header_chain())
-        if len(chain) > len(self.layers):
-            raise CodecError(
-                f"unit has {len(chain)} headers; codec {self.name!r} "
-                f"declares {len(self.layers)} layers"
-            )
-        parts = [bytes((self.magic, len(chain), 0))]
-        for index, pdu in enumerate(chain):
-            owner, fmt = self.layers[index]
-            if pdu.owner != owner:
+        layers = self.layers
+        packed = 0
+        present = 0
+        node = unit
+        while isinstance(node, Pdu):
+            if present == len(layers):
                 raise CodecError(
-                    f"header {index} belongs to {pdu.owner!r}; codec "
+                    f"unit has {len(unit.owners())} headers; codec "
+                    f"{self.name!r} declares {len(layers)} layers"
+                )
+            owner, fmt = layers[present]
+            if node.owner != owner:
+                raise CodecError(
+                    f"header {present} belongs to {node.owner!r}; codec "
                     f"{self.name!r} expects {owner!r} there"
                 )
-            parts.append(fmt.pack_bytes(pdu.header))
-        payload = chain[-1].inner
-        if payload is None:
-            pass
-        elif isinstance(payload, (bytes, bytearray, memoryview)):
-            parts[0] = bytes((self.magic, len(chain), 1))
-            parts.append(bytes(payload))
+            try:
+                packed = (packed << fmt.bit_width) | fmt.pack_int(node.header)
+            except HeaderError as exc:
+                raise CodecError(
+                    f"header {present} ({owner!r}) does not fit codec "
+                    f"{self.name!r}: {exc}"
+                ) from exc
+            present += 1
+            node = node.inner
+        if node is None:
+            has_payload = 0
+        elif isinstance(node, (bytes, bytearray, memoryview)):
+            has_payload = 1
         else:
             raise CodecError(
                 f"innermost SDU must be bytes or None to cross a socket, "
-                f"got {type(payload).__name__}"
+                f"got {type(node).__name__}"
             )
-        return b"".join(parts)
+        head = bytes((self.magic, present, has_payload)) + packed.to_bytes(
+            self._header_end[present] - 3, "big"
+        )
+        return head + node if has_payload else head
 
     def decode(self, data: bytes) -> Pdu:
         """Rebuild the nested PDU structure from one datagram."""
-        if len(data) < 3:
-            raise CodecError(f"datagram too short ({len(data)} bytes)")
+        size = len(data)
+        if size < 3:
+            raise CodecError(f"datagram too short ({size} bytes)")
         if data[0] != self.magic:
             raise CodecError(
                 f"magic {data[0]:#04x} is not codec {self.name!r} "
@@ -122,28 +153,22 @@ class WireCodec:
             )
         if has_payload not in (0, 1):
             raise CodecError(f"bad payload flag {has_payload}")
-        offset = 3
-        headers: list[dict[str, int]] = []
-        for index in range(present):
-            _owner, fmt = self.layers[index]
-            width = fmt.byte_width
-            if len(data) < offset + width:
-                raise CodecError(
-                    f"datagram truncated inside header {index} "
-                    f"({len(data)} bytes)"
-                )
-            headers.append(fmt.unpack_bytes(data[offset : offset + width]))
-            offset += width
-        inner = bytes(data[offset:]) if has_payload else None
-        if not has_payload and len(data) != offset:
+        end = self._header_end[present]
+        if size < end:
+            index = sum(size >= stop for stop in self._header_end[1:present])
             raise CodecError(
-                f"{len(data) - offset} trailing bytes on a payload-less "
-                "datagram"
+                f"datagram truncated inside header {index} ({size} bytes)"
             )
-        unit: Pdu | bytes | None = inner
-        for index in range(present - 1, -1, -1):
-            owner, fmt = self.layers[index]
-            unit = Pdu(owner, fmt, headers[index], unit)
+        if not has_payload and size != end:
+            raise CodecError(
+                f"{size - end} trailing bytes on a payload-less datagram"
+            )
+        view = memoryview(data)
+        packed = int.from_bytes(view[3:end], "big")
+        unit: Pdu | bytes | None = bytes(view[end:]) if has_payload else None
+        for owner, fmt, fields in self._decode_plan[present]:
+            header = {name: (packed >> shift) & mask for name, shift, mask in fields}
+            unit = Pdu(owner, fmt, header, unit)
         return unit  # type: ignore[return-value]
 
     def __repr__(self) -> str:

@@ -105,7 +105,9 @@ class RdSublayer(Sublayer):
         return self.state.conns.get(conn)
 
     def _put(self, conn: ConnId, record: dict) -> None:
-        conns = dict(self.state.conns)
+        # In place: O(1) however many connections the host carries.  The
+        # re-assignment keeps the one logged write at tier="full".
+        conns = self.state.conns
         conns[conn] = record
         self.state.conns = conns
 

@@ -1,10 +1,14 @@
 """Tests for repro.core.instrument."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.instrument import (
     AccessLog,
     InstrumentedState,
+    NullAccessLog,
     acting_as,
     current_actor,
 )
@@ -79,6 +83,71 @@ class TestInstrumentedState:
 
     def test_repr(self):
         assert "rd" in repr(InstrumentedState("rd", a=1))
+
+
+class TestQuietState:
+    """A container whose log is null reads and writes plain attributes."""
+
+    def test_null_log_container_takes_no_python_level_hooks(self):
+        state = InstrumentedState("rd", log=NullAccessLog(), x=1)
+        assert isinstance(state, InstrumentedState)
+        assert type(state).__getattribute__ is object.__getattribute__
+        assert type(state).__setattr__ is object.__setattr__
+        state.y = state.x + 1
+        assert state.snapshot() == {"x": 1, "y": 2}
+
+    def test_null_log_is_never_called(self):
+        class Tripwire(NullAccessLog):
+            def record(self, *args):
+                raise AssertionError("a quiet container called its log")
+
+        state = InstrumentedState("rd", log=Tripwire(), x=1)
+        state.x = state.x + 1
+        assert state.x == 2
+
+    @pytest.mark.parametrize("log", [AccessLog, NullAccessLog])
+    def test_undeclared_field_message(self, log):
+        state = InstrumentedState("rd", log=log(), a=1)
+        with pytest.raises(AttributeError, match="state 'rd' has no field 'x'"):
+            state.x
+        assert getattr(state, "x", "fallback") == "fallback"
+        assert not hasattr(state, "__deepcopy__")
+
+    @pytest.mark.parametrize("log", [AccessLog, NullAccessLog])
+    def test_views_do_not_depend_on_the_log(self, log):
+        state = InstrumentedState("rd", log=log(), b=2, a=1)
+        assert state.snapshot() == {"b": 2, "a": 1}
+        assert state.field_names() == {"a", "b"}
+        assert repr(state) == "InstrumentedState('rd', fields=['a', 'b'])"
+        assert state.target_name == "rd"
+        assert isinstance(state.access_log, log)
+
+    def test_assigning_the_log_switches_logging_both_ways(self):
+        log = AccessLog()
+        state = InstrumentedState("rd", log=log, x=1)
+        state._log = NullAccessLog()
+        state.x = 2
+        state.fresh = state.x
+        assert [r.kind for r in log.records] == ["write"]
+        state._log = log
+        assert state.access_log is log
+        with acting_as("rd"):
+            assert (state.x, state.fresh) == (2, 2)
+            state.fresh = 3
+        assert [(r.actor, r.field, r.kind) for r in log.records[1:]] == [
+            ("rd", "x", "read"), ("rd", "fresh", "read"), ("rd", "fresh", "write"),
+        ]  # fmt: skip
+
+    @pytest.mark.parametrize("log", [AccessLog, NullAccessLog])
+    def test_copies_keep_fields_target_and_logging(self, log):
+        state = InstrumentedState("rd", log=log(), conns={1: "a"})
+        for clone in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+            assert type(clone) is type(state)
+            assert clone.target_name == "rd"
+            assert clone.snapshot() == {"conns": {1: "a"}}
+            before = len(clone.access_log.records)
+            clone.conns
+            assert len(clone.access_log.records) - before == (log is AccessLog)
 
 
 class TestAccessLog:
