@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ...core.bits import Bits, all_bitstrings
-from ...par import ProofCache, callable_fingerprint, effective_jobs, fork_map, value_fingerprint
-from .decide import Verdict, decide_valid, decide_valid_stream
+from .decide import decide_valid, decide_valid_stream
 from .overhead import exact_overhead
 from .rules import StuffingRule, prefix_rule
 
@@ -103,26 +102,9 @@ def _decider(semantics: str):
     raise ValueError(f"unknown semantics {semantics!r}")
 
 
-def _decide_batch(item: tuple[str, list[StuffingRule]]) -> list[Verdict]:
-    """Worker-side: decide one chunk of candidate rules."""
-    semantics, rules = item
-    decide = _decider(semantics)
-    return [decide(rule) for rule in rules]
-
-
-def _chunks(indices: list[int], jobs: int) -> list[list[int]]:
-    """Split ``indices`` into contiguous chunks, ~4 per worker."""
-    if not indices:
-        return []
-    target = max(1, len(indices) // max(1, jobs * 4))
-    return [indices[i : i + target] for i in range(0, len(indices), target)]
-
-
 def find_valid_rules(
     space: Iterable[StuffingRule],
     semantics: str = "frame",
-    jobs: int | None = None,
-    cache: ProofCache | None = None,
 ) -> SearchResult:
     """Decide every candidate in ``space``; keep the valid ones.
 
@@ -130,54 +112,19 @@ def find_valid_rules(
     the body start, matching ``remove_flags``) or ``"stream"``
     (continuous scan, matching ``FrameAssembler`` — the stricter model
     and the closest analogue of the paper's 66-rule library).
-
-    ``jobs`` fans undecided candidates out over forked workers in
-    contiguous chunks (``None``/1 serial, 0 = all CPUs); verdicts are
-    reassembled in candidate order, so the result is identical to a
-    serial run.  ``cache`` memoises each rule's verdict keyed by the
-    decision procedure's fingerprint — unlike lemma proofs, *invalid*
-    verdicts are cached too (a rejected candidate is a result, not a
-    regression to re-examine).
+    Duplicate candidates are decided once; valid rules keep the order
+    of their first appearance in ``space``.
     """
     decide = _decider(semantics)
-    rules: list[StuffingRule] = []
     seen: set[tuple[Bits, Bits, int]] = set()
+    candidates = 0
+    valid: list[StuffingRule] = []
     for rule in space:
         key = (rule.flag, rule.trigger, rule.stuff_bit)
         if key in seen:
             continue
         seen.add(key)
-        rules.append(rule)
-
-    verdicts: list[Verdict | None] = [None] * len(rules)
-    keys: list[str] = []
-    fps: list[str] = []
-    if cache is not None:
-        decide_fp = callable_fingerprint(decide)
-        for index, rule in enumerate(rules):
-            keys.append(f"rule:{semantics}:{rule.label()}")
-            fps.append(value_fingerprint(decide_fp, rule))
-            hit = cache.get(keys[index], fps[index])
-            if hit is not None:
-                verdicts[index] = Verdict(hit["valid"], hit["reason"])
-
-    pending = [index for index, verdict in enumerate(verdicts) if verdict is None]
-    if pending:
-        chunks = _chunks(pending, effective_jobs(jobs))
-        batches = fork_map(
-            _decide_batch,
-            [(semantics, [rules[i] for i in chunk]) for chunk in chunks],
-            jobs=jobs,
-        )
-        for chunk, batch in zip(chunks, batches):
-            for index, verdict in zip(chunk, batch):
-                verdicts[index] = verdict
-                if cache is not None:
-                    cache.put(
-                        keys[index],
-                        fps[index],
-                        {"valid": verdict.valid, "reason": verdict.reason},
-                    )
-
-    valid = [rule for rule, verdict in zip(rules, verdicts) if verdict]
-    return SearchResult(candidates=len(rules), valid=valid)
+        candidates += 1
+        if decide(rule):
+            valid.append(rule)
+    return SearchResult(candidates=candidates, valid=valid)

@@ -4,19 +4,11 @@ Runs a named scenario matrix over N seeds and emits a JSON resilience
 report.  Exit status is 0 only when every invariant monitor stayed
 green in every trial — CI uses this as the fault-scenario smoke gate.
 
-``--jobs`` fans the campaign's (scenario, seed) trials out over forked
-workers; trials are reassembled in scenario/seed order and per-worker
-metric snapshots are merged deterministically, so the report is
-byte-identical to a serial run.  ``--cache`` memoises green trials by
-content hash — a re-run with unchanged scenario code replays from the
-cache.
-
 Examples::
 
     python -m repro.faults --matrix default --seeds 5
     python -m repro.faults --matrix smoke --seeds 1 --out resilience.json
     python -m repro.faults --scenario tcp-drop-dup --seeds 3
-    python -m repro.faults --matrix smoke --jobs 4 --cache
     python -m repro.faults --list
 """
 
@@ -25,71 +17,30 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
-
 from pathlib import Path
 
 from ..core.errors import ConfigurationError
 from ..obs import FlightRecorder, MetricsRegistry
-from ..par import (
-    DEFAULT_CACHE_DIR,
-    ForkPool,
-    ProofCache,
-    callable_fingerprint,
-)
-from .scenarios import MATRICES, Scenario, ScenarioResult, TrialResult, build_matrix
-
-#: Scenarios inherited by forked campaign workers for the current run.
-_SCENARIOS: list[Scenario] = []
-
-#: Flight-recorder bundle root for the current run (None = off),
-#: likewise inherited by forked workers.
-_RECORDER_DIR: str | None = None
-
-
-def _campaign_trial(item: tuple[int, int]) -> tuple[TrialResult, dict[str, Any]]:
-    """Worker-side: run trial ``item = (scenario_index, seed)``.
-
-    With recording on, each trial gets its own :class:`FlightRecorder`
-    aimed at a per-(scenario, seed) bundle directory — workers share a
-    filesystem, not memory, so the bundle is written worker-side and
-    only its path crosses the pipe (in the trial info).
-    """
-    index, seed = item
-    scenario = _SCENARIOS[index]
-    recorder = None
-    if _RECORDER_DIR is not None:
-        recorder = FlightRecorder(
-            directory=Path(_RECORDER_DIR) / f"{scenario.name}-seed{seed}"
-        )
-    return scenario.run_trial_with_metrics(seed, recorder=recorder)
+from .scenarios import MATRICES, ScenarioResult, build_matrix
 
 
 def run_campaign(
     matrix: str,
     seeds: list[int],
     only: list[str] | None = None,
-    jobs: int | None = None,
-    cache: ProofCache | None = None,
     recorder_dir: str | None = None,
 ) -> dict:
     """Run the matrix; returns the JSON-serializable resilience report.
 
-    All (scenario, seed) trials go through one worker pool, so slow
-    scenarios don't serialize behind fast ones.  Results are
-    reassembled in scenario/seed order and trial metric snapshots are
+    Trials run in scenario/seed order and their metric snapshots are
     merged into the report's ``metrics`` aggregate in that same order,
-    making the report identical for any ``jobs`` value — including its
-    merged histogram snapshots, whose integer log-buckets merge
-    exactly.  With ``cache``, green trials are memoised keyed by the
-    scenario's content hash (code + parameters); red trials always
-    re-run.  ``recorder_dir`` arms a per-trial flight recorder: red
-    trials leave a post-mortem bundle under
+    so the report — including its merged histogram snapshots, whose
+    integer log-buckets merge exactly — is a pure function of the
+    matrix and seeds.  ``recorder_dir`` arms a per-trial flight
+    recorder: red trials leave a post-mortem bundle under
     ``recorder_dir/<scenario>-seed<seed>/`` (green trials leave
-    nothing; note a cache hit replays a previous green verdict without
-    re-running, so it never writes a bundle either).
+    nothing).
     """
-    global _RECORDER_DIR
     scenarios = build_matrix(matrix)
     if only:
         names = {s.name for s in scenarios}
@@ -101,54 +52,19 @@ def run_campaign(
             )
         scenarios = [s for s in scenarios if s.name in only]
 
-    items = [
-        (index, seed) for index, _ in enumerate(scenarios) for seed in seeds
-    ]
-    outcomes: dict[tuple[int, int], tuple[TrialResult, dict[str, Any]]] = {}
-    keys: dict[tuple[int, int], str] = {}
-    fps: dict[tuple[int, int], str] = {}
-    if cache is not None:
-        scenario_fps = [
-            callable_fingerprint(s.run_trial_with_metrics, s.monitors())
-            for s in scenarios
-        ]
-        for index, seed in items:
-            scenario = scenarios[index]
-            keys[(index, seed)] = f"trial:{matrix}:{scenario.name}:{seed}"
-            fps[(index, seed)] = scenario_fps[index]
-            hit = cache.get(keys[(index, seed)], fps[(index, seed)])
-            if hit is not None:
-                outcomes[(index, seed)] = (
-                    TrialResult(seed=seed, violations=[], info=hit["info"]),
-                    hit["metrics"],
-                )
-
-    pending = [item for item in items if item not in outcomes]
-    if pending:
-        _SCENARIOS.clear()
-        _SCENARIOS.extend(scenarios)
-        _RECORDER_DIR = recorder_dir
-        try:
-            with ForkPool(_campaign_trial, jobs=jobs) as pool:
-                for item, outcome in zip(pending, pool.map(pending)):
-                    outcomes[item] = outcome
-                    trial, snapshot = outcome
-                    if cache is not None and trial.ok:
-                        cache.put(
-                            keys[item],
-                            fps[item],
-                            {"info": trial.info, "metrics": snapshot},
-                        )
-        finally:
-            _SCENARIOS.clear()
-            _RECORDER_DIR = None
-
     registry = MetricsRegistry()
     results: list[ScenarioResult] = []
-    for index, scenario in enumerate(scenarios):
+    for scenario in scenarios:
         trials = []
         for seed in seeds:
-            trial, snapshot = outcomes[(index, seed)]
+            recorder = None
+            if recorder_dir is not None:
+                recorder = FlightRecorder(
+                    directory=Path(recorder_dir) / f"{scenario.name}-seed{seed}"
+                )
+            trial, snapshot = scenario.run_trial_with_metrics(
+                seed, recorder=recorder
+            )
             trials.append(trial)
             registry.merge_snapshot(snapshot)
         results.append(
@@ -175,9 +91,7 @@ def run_campaign(
             "histograms": len(registry.histograms),
             # The campaign-wide latency distributions (ARQ RTT,
             # handshake time, queue residency…), merged exactly from
-            # per-trial snapshots in scenario/seed order — so this
-            # section is byte-identical for any --jobs value, which CI
-            # checks with a straight file compare.
+            # per-trial snapshots in scenario/seed order.
             "hists": merged["hists"],
         },
     }
@@ -244,22 +158,6 @@ def main(argv: list[str] | None = None) -> int:
         help="run only the named scenario (repeatable)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for trials; 0 = all CPUs (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="memoise green trials in the content-hash cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"trial cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
         "--flight-recorder",
         metavar="DIR",
         help="arm a per-trial flight recorder; red trials dump a "
@@ -287,16 +185,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--seeds must be >= 1")
 
     seeds = list(range(args.base_seed, args.base_seed + args.seeds))
-    cache = (
-        ProofCache(root=args.cache_dir, domain="trials") if args.cache else None
-    )
     try:
         report = run_campaign(
             args.matrix,
             seeds,
             only=args.scenario,
-            jobs=args.jobs,
-            cache=cache,
             recorder_dir=args.flight_recorder,
         )
     except ConfigurationError as exc:
@@ -307,12 +200,6 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(report, fp, indent=1, sort_keys=True)
             fp.write("\n")
     _print_summary(report)
-    if cache is not None:
-        stats = cache.stats()
-        print(
-            f"trial cache: {stats['hits']} hits, {stats['misses']} misses, "
-            f"{stats['entries']} entries"
-        )
     return 0 if report["ok"] else 1
 
 

@@ -40,7 +40,6 @@ from ..datalink.stacks import (
 )
 from ..network import LinkState, Topology
 from ..obs import MetricsRegistry
-from ..par import fork_map
 from ..sim import (
     BroadcastMedium,
     DuplexLink,
@@ -162,10 +161,8 @@ class Scenario:
     """Base: N seeded trials, each checked by the invariant monitors.
 
     A trial is a pure function of ``(scenario, seed)`` — every random
-    choice draws from a named stream of the trial seed — which is what
-    makes trials safe to fan out over forked workers (:meth:`run` with
-    ``jobs``) and to memoise by content hash (the campaign cache in
-    :mod:`repro.faults.__main__`).
+    choice draws from a named stream of the trial seed — so a campaign
+    report is reproducible from its matrix name and seed list alone.
     """
 
     name = "scenario"
@@ -203,9 +200,8 @@ class Scenario:
     ) -> tuple[TrialResult, dict[str, Any]]:
         """One trial plus the metrics snapshot its run left behind.
 
-        The snapshot (JSON-serializable, picklable) is what crosses the
-        pipe from forked workers; the parent folds the snapshots into a
-        campaign-wide registry via
+        The snapshot is JSON-serializable; the campaign folds the
+        snapshots into one campaign-wide registry via
         :meth:`~repro.obs.MetricsRegistry.merge_snapshot`.
 
         ``recorder`` (a :class:`~repro.obs.FlightRecorder`) rides along
@@ -247,17 +243,12 @@ class Scenario:
                 info["bundle"] = str(bundle)
         return TrialResult(seed=seed, violations=violations, info=info), snapshot
 
-    def run(self, seeds: list[int], jobs: int | None = None) -> ScenarioResult:
-        """Run one trial per seed; ``jobs`` fans trials over forked workers.
-
-        Trials are returned in seed order whatever finishes first, so a
-        parallel run's :class:`ScenarioResult` is identical to a serial
-        run's.
-        """
+    def run(self, seeds: list[int]) -> ScenarioResult:
+        """Run one trial per seed, in seed order."""
         return ScenarioResult(
             name=self.name,
             profile=self.profile,
-            trials=fork_map(self.run_trial, seeds, jobs=jobs),
+            trials=[self.run_trial(seed) for seed in seeds],
         )
 
     # ------------------------------------------------------------------

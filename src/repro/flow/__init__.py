@@ -28,7 +28,7 @@ from .properties import ALL_PROPERTIES, FlowViolation, analyze, analyze_all
 from .reach import ReachResult, reachability
 from .report import FlowReport
 from .sets import FIELDS, IntervalSet, PacketSet, cube, ternary_intervals
-from .spec import FlowSpec, spec_fingerprint
+from .spec import FlowSpec
 from .transfer import NodeTransfer, TransferResult, build_transfers
 
 __all__ = [
@@ -49,6 +49,5 @@ __all__ = [
     "cube",
     "example_spec",
     "reachability",
-    "spec_fingerprint",
     "ternary_intervals",
 ]

@@ -4,8 +4,7 @@ Proves no-escape, isolation, blackhole-freedom, and loop-freedom over
 the shipped example topologies (default), named examples
 (``--topology``), or declarative spec files (``--spec``).  Exit status
 is 0 only when every property holds for every spec — CI runs this as
-the static data-plane gate, with ``--cache`` so unchanged forwarding
-planes verify from the content-hash cache.
+the static data-plane gate.
 
 Examples::
 
@@ -13,7 +12,6 @@ Examples::
     python -m repro.flow --topology mesh6
     python -m repro.flow --spec tests/flow/fixtures/loop.json
     python -m repro.flow --format json --out flow.json
-    python -m repro.flow --cache --cache-dir .repro-cache
     python -m repro.flow --list
 """
 
@@ -24,7 +22,6 @@ import json
 import sys
 
 from ..core.errors import ConfigurationError
-from ..par import DEFAULT_CACHE_DIR, ProofCache
 from .examples import EXAMPLE_SPECS, example_spec
 from .properties import analyze_all
 from .spec import FlowSpec
@@ -79,17 +76,6 @@ def main(argv: list[str] | None = None) -> int:
         help="write the report here instead of stdout",
     )
     parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="memoise verdicts in the content-hash cache, keyed by the "
-        "FIB+topology fingerprint",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"verdict cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
         "--list",
         action="store_true",
         help="list the example topologies, then exit",
@@ -106,12 +92,9 @@ def main(argv: list[str] | None = None) -> int:
             )
         return 0
 
-    cache = (
-        ProofCache(root=args.cache_dir, domain="flow") if args.cache else None
-    )
     try:
         specs = _load_specs(args)
-        reports = analyze_all(specs, cache=cache)
+        reports = analyze_all(specs)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -121,8 +104,6 @@ def main(argv: list[str] | None = None) -> int:
         "passed": passed,
         "specs": {name: report.as_dict() for name, report in reports.items()},
     }
-    if cache is not None:
-        document["cache"] = cache.stats()
 
     if args.format == "json":
         rendered = json.dumps(document, indent=1, sort_keys=True) + "\n"
@@ -141,12 +122,6 @@ def main(argv: list[str] | None = None) -> int:
         lines.append(
             "all properties hold" if passed else "PROPERTY VIOLATIONS"
         )
-        if cache is not None:
-            stats = cache.stats()
-            lines.append(
-                f"flow cache: {stats['hits']} hits, {stats['misses']} "
-                f"misses, {stats['entries']} entries"
-            )
         rendered = "\n".join(lines) + "\n"
 
     if args.out:

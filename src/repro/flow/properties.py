@@ -3,21 +3,15 @@
 Each check reads the shared :class:`~repro.flow.reach.ReachResult`
 (one fixed point per spec, not per property) and returns violations
 with witness packet sets small enough to paste into a bug report.
-:func:`analyze` is the cached entry point: verdicts are memoised in a
-:class:`~repro.par.ProofCache` keyed by the spec name and guarded by
-the FIB+topology fingerprint, so re-verifying an unchanged forwarding
-plane costs one hash lookup (the C10 benchmark gates this).
+:func:`analyze` runs the fixed point once and applies all four checks.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from ..par.cache import ProofCache
 from .reach import ReachResult, default_injections, find_loops, reachability
 from .report import ALL_PROPERTIES, FlowReport, FlowViolation, build_flow_report
 from .sets import IntervalSet, PacketSet, cube
-from .spec import FlowSpec, spec_fingerprint
+from .spec import FlowSpec
 from .transfer import DROP_NO_INTERFACE, DROP_NO_ROUTE
 
 
@@ -173,9 +167,10 @@ def check_isolation(spec: FlowSpec, reach: ReachResult) -> list[FlowViolation]:
 
 
 # ----------------------------------------------------------------------
-# The cached entry point
+# Entry points
 # ----------------------------------------------------------------------
-def _analyze_uncached(spec: FlowSpec) -> FlowReport:
+def analyze(spec: FlowSpec) -> FlowReport:
+    """Prove (or refute) all four properties for one spec."""
     reach = reachability(spec, default_injections(spec))
     violations = (
         check_no_escape(spec, reach)
@@ -195,49 +190,9 @@ def _analyze_uncached(spec: FlowSpec) -> FlowReport:
     return build_flow_report(spec.name, violations, stats)
 
 
-def analyze(spec: FlowSpec, cache: ProofCache | None = None) -> FlowReport:
-    """Prove (or refute) all four properties for one spec.
-
-    With ``cache``, the canonical report dict is memoised under
-    ``flow:<spec name>`` guarded by :func:`spec_fingerprint` — any FIB,
-    wiring, or annotation change invalidates exactly this entry.  Both
-    green and red verdicts are cached: the witness is part of the
-    report, so a cached refutation replays its evidence.
-    """
-    if cache is None:
-        return _analyze_uncached(spec)
-    key = f"flow:{spec.name}"
-    fingerprint = spec_fingerprint(spec)
-    hit = cache.get(key, fingerprint)
-    if hit is not None:
-        return _report_from_dict(hit)
-    report = _analyze_uncached(spec)
-    cache.put(key, fingerprint, report.as_dict())
-    return report
-
-
-def analyze_all(
-    specs: list[FlowSpec], cache: ProofCache | None = None
-) -> dict[str, FlowReport]:
+def analyze_all(specs: list[FlowSpec]) -> dict[str, FlowReport]:
     """Analyze several specs; reports keyed by spec name, input order."""
-    return {spec.name: analyze(spec, cache=cache) for spec in specs}
-
-
-def _report_from_dict(data: dict[str, Any]) -> FlowReport:
-    """Rebuild a :class:`FlowReport` from its canonical dict (cache hit)."""
-    violations = [
-        FlowViolation(
-            property=v["property"],
-            spec=v["spec"],
-            node=v["node"],
-            message=v["message"],
-            witness=v["witness"],
-        )
-        for v in data.get("violations", [])
-    ]
-    return build_flow_report(
-        data.get("spec", ""), violations, dict(data.get("stats", {}))
-    )
+    return {spec.name: analyze(spec) for spec in specs}
 
 
 __all__ = [

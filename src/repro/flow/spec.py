@@ -8,11 +8,6 @@ from JSON, exportable to JSON, and snapshottable from a running
 :class:`~repro.network.topology.Topology` via the network layer's
 :meth:`~repro.network.topology.Topology.flow_spec` hook (the dashed
 control arrow from the dynamic world into the static analyzer).
-
-:func:`spec_fingerprint` canonicalises the spec into the content hash
-that keys :class:`~repro.par.ProofCache` entries: two runs over the
-same FIBs and wiring share verdicts; touching a route invalidates
-exactly that spec's entry.
 """
 
 from __future__ import annotations
@@ -24,7 +19,6 @@ from typing import Any, Mapping
 
 from ..core.errors import ConfigurationError
 from ..network.packets import Address
-from ..par.fingerprint import value_fingerprint
 from .sets import IntervalSet
 
 #: Default initial TTL for injected packet sets (DataPacket.make default).
@@ -252,12 +246,3 @@ class FlowSpec:
             "ttl": self.ttl,
         }
 
-
-def spec_fingerprint(spec: FlowSpec) -> str:
-    """Content hash guarding cached verdicts for ``spec``.
-
-    Derived from the canonical dict — FIBs, wiring, annotations — so
-    any change to the forwarding plane or the properties invalidates
-    the cache entry, while node/edge declaration order does not.
-    """
-    return value_fingerprint(json.dumps(spec.as_dict(), sort_keys=True))

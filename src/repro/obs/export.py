@@ -112,9 +112,9 @@ def load_jsonl(path: Any) -> list[dict[str, Any]]:
 
 
 def merge_jsonl(paths: Iterable[Any], out: Any) -> int:
-    """Merge per-worker span JSONL files into one; returns the span count.
+    """Merge per-region span JSONL files into one; returns the span count.
 
-    Each forked worker traces with its own :class:`SpanTracer`, whose
+    Each region traces with its own :class:`SpanTracer`, whose
     span ids start at 0 — merging naively would collide.  Spans from
     each input keep their relative structure but have ``sid`` (and
     ``parent``) rebased past the previous inputs' ids, exactly like

@@ -15,10 +15,10 @@ keeping the three properties the rest of the repo demands:
   (benchmark C12 gates the feed cost against a plain counter
   increment and reports the deferred flush cost separately);
 * **exactly mergeable** — bucket counts are integers, so folding the
-  per-worker snapshots of a :mod:`repro.par` campaign back together is
-  integer addition: a parallel run's merged histogram is
-  byte-identical to a serial run's (the campaign CI ``cmp`` relies on
-  this);
+  per-trial snapshots of a fault campaign, or the per-region snapshots
+  of a sharded fleet run, back together is integer addition: the merged
+  bucket counts, and the quantiles computed from them, equal those of
+  one histogram fed every sample;
 * **JSON round-trippable** — :meth:`as_dict`/:meth:`from_dict` lose
   nothing the quantiles need, because the quantiles are computed from
   the buckets in the first place.

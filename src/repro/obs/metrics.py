@@ -16,8 +16,8 @@ Two distribution families coexist behind :meth:`observe` and
 * ``hists`` — log-bucket :class:`~repro.obs.hist.Histogram`
   (p50/p90/p99/max): what latency-shaped sites (ARQ RTT, queue
   residency, hop crossing time) report into, and what merges *exactly*
-  across :mod:`repro.par` worker snapshots (integer bucket counts), so
-  a parallel campaign's aggregate is byte-identical to a serial one's.
+  across per-trial and per-region snapshots (integer bucket counts), so
+  a campaign's or a sharded fleet's aggregate equals one registry's.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class MetricsRegistry:
         (:mod:`repro.net`) reports through: count, mean, min/max, and
         the requested quantiles (``p50``/``p95``/``p99`` by default),
         all computed from the histogram buckets so a report built from
-        merged worker snapshots is identical to a single-process one.
+        merged snapshots is identical to one built from a single registry.
         """
         hist = self.hist(name)
         count = hist.count
@@ -140,12 +140,11 @@ class MetricsRegistry:
         """Fold a :meth:`snapshot` from another registry into this one.
 
         Counters add, gauges last-write-wins, histograms combine via
-        :meth:`~repro.sim.stats.RunningStats.merge` — so a parent
-        process can aggregate the registries of forked workers (each
-        trial's snapshot crosses the pipe; the live registry cannot).
+        :meth:`~repro.sim.stats.RunningStats.merge` — so a fault
+        campaign folds its per-trial snapshots, and the sharded fleet
+        conductor its per-region snapshots, into one aggregate.
         Merging the same snapshots in the same order always yields the
-        same aggregate, which keeps parallel campaign reports
-        deterministic.
+        same aggregate, which keeps campaign reports deterministic.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.inc(name, value)

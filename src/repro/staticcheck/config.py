@@ -15,10 +15,7 @@ from dataclasses import dataclass, field
 from ..core.litmus import DEFAULT_MAX_INTERFACE_WIDTH
 
 #: The declared layer order of the repository, bottom-up: a module in
-#: tier *t* may only import from tiers <= *t*.  ``par`` (parallel
-#: execution + proof caching) is pure infrastructure like ``core``:
-#: it knows nothing about protocols, so every layer may fan work out
-#: through it.  The simulator substrate,
+#: tier *t* may only import from tiers <= *t*.  The simulator substrate,
 #: verifier, and analyses sit together at the top — they orchestrate
 #: protocol stacks and may therefore see everything below them.
 #: Observability (``obs``) sits above even those, *outside* the protocol
@@ -32,7 +29,7 @@ from ..core.litmus import DEFAULT_MAX_INTERFACE_WIDTH
 #: are ``TRANSPARENT``, exempting them from the composition-order rule.
 #: Two runtime orchestrators share the top tier: fleet-scale
 #: simulation (``topo``) composes whole router stacks into networks,
-#: partitions them across workers, and replays faults through the
+#: partitions them into regions, and replays faults through the
 #: scenario harness; the live runtime (``net``) hosts the same stacks
 #: on an asyncio loop behind real UDP sockets and reports through obs
 #: histograms.  Both may import everything below them — profiles,
@@ -42,7 +39,6 @@ from ..core.litmus import DEFAULT_MAX_INTERFACE_WIDTH
 #: importing ``sim`` or ``net``).
 DEFAULT_LAYERS: dict[str, int] = {
     "core": 0,
-    "par": 0,
     "phys": 1,
     "datalink": 2,
     "network": 3,

@@ -21,7 +21,6 @@ from ..flow.examples import EXAMPLE_SPECS, example_spec
 from ..flow.properties import analyze_all
 from ..flow.report import FlowViolation
 from ..flow.spec import FlowSpec
-from ..par.cache import ProofCache
 from .report import ERROR, Violation
 
 #: property -> staticcheck rule (the T4 family vs the T5 rule).
@@ -58,14 +57,11 @@ def flow_violation_to_static(
 def check_flow_properties(
     topologies: Iterable[str] | None = None,
     spec_files: Iterable[str | Path] = (),
-    cache: ProofCache | None = None,
 ) -> list[Violation]:
     """Run the symbolic engine; return T4/T5 findings as violations.
 
     ``topologies`` names example specs (default: all of them);
-    ``spec_files`` adds declarative snapshots from disk.  With
-    ``cache``, unchanged forwarding planes verify from the proof cache
-    (same entries the ``repro.flow`` CLI writes).
+    ``spec_files`` adds declarative snapshots from disk.
     """
     names = sorted(EXAMPLE_SPECS) if topologies is None else list(topologies)
     sources: list[tuple[FlowSpec, str]] = []
@@ -75,7 +71,7 @@ def check_flow_properties(
         sources.append((FlowSpec.from_file(file), str(file)))
 
     paths = {spec.name: path for spec, path in sources}
-    reports = analyze_all([spec for spec, _ in sources], cache=cache)
+    reports = analyze_all([spec for spec, _ in sources])
     violations: list[Violation] = []
     for name, report in reports.items():
         for violation in report.violations:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from ..par.cache import ProofCache
 from .batchparity import check_batch_parity
 from .config import StaticCheckConfig
 from .imports import check_import_cycles, check_layer_order, collect_imports
@@ -30,7 +29,6 @@ def run_staticcheck(
     flow: bool = False,
     flow_topologies: Iterable[str] | None = None,
     flow_specs: Iterable[str | Path] = (),
-    flow_cache: ProofCache | None = None,
 ) -> StaticReport:
     """Run all seven static rules over the package at ``root_dir``.
 
@@ -61,7 +59,6 @@ def run_staticcheck(
             # the example topologies (all of them unless named).
             topologies=(flow_topologies if flow else []),
             spec_files=flow_specs,
-            cache=flow_cache,
         )
         rules = ALL_RULES + FLOW_RULES
     return build_report(

@@ -4,12 +4,12 @@ The paper's claim is that sublayering composes at every scale; this
 package takes the repo's host-pair stacks to *networks*: declarative
 topology generators (star, ring, grid, fat-tree, seeded random) over
 the Fig 4 router sublayers, partitioned into regions and executed
-either serially or as a conservative-lookahead parallel simulation on
-forked workers — with the two executions provably byte-identical on
+either serially or as a conservative-lookahead windowed simulation of
+the regions — with the two executions provably byte-identical on
 delivery order, metrics, and traces.
 
 Layer position: tier 8, above :mod:`repro.faults` — topo may import
-compose/network/par/obs/faults; nothing below it imports topo (the
+compose/network/obs/faults; nothing below it imports topo (the
 staticcheck tier table enforces both directions).
 """
 

@@ -55,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit status."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.topo",
-        description="Fleet-scale topology simulation (sharded parallel DES).",
+        description="Fleet-scale topology simulation (serial or sharded DES).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -78,13 +78,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=("static", "protocol"),
         default="static",
         help="static oracle FIBs or live hello+LSP convergence",
-    )
-    run_p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="sharded mode: >=2 forks one worker per region; "
-        "0 = all CPUs (default: 1, in-process windows)",
     )
     run_p.add_argument(
         "--flows", type=int, default=8, help="traffic flows (default: 8)"
@@ -128,12 +121,6 @@ def main(argv: list[str] | None = None) -> int:
         help="trials per scenario, seeds 0..N-1 (default: 2)",
     )
     camp_p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for trials; 0 = all CPUs (default: 1)",
-    )
-    camp_p.add_argument(
         "--out", metavar="FILE.json", help="write the JSON report here"
     )
 
@@ -167,7 +154,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         flows=args.flows,
         packets=args.packets,
         duration=args.duration,
-        jobs=args.jobs,
     )
     if args.out_dir:
         write_artifacts(result, args.out_dir)
@@ -201,7 +187,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     scenarios = MATRICES[args.matrix]()
     seeds = list(range(args.seeds))
-    results = [s.run(seeds, jobs=args.jobs) for s in scenarios]
+    results = [s.run(seeds) for s in scenarios]
     report = {
         "matrix": args.matrix,
         "seeds": seeds,

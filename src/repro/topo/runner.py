@@ -1,16 +1,13 @@
-"""The fleet conductor: serial, in-process sharded, and forked runs.
+"""The fleet conductor: serial and sharded runs.
 
-Three execution modes over the same :class:`~repro.topo.region
+Two execution modes over the same :class:`~repro.topo.region
 .RegionWorld` regions, producing the same artifacts byte-for-byte:
 
 * **serial** — every region on one simulator; cross-region sends are
   scheduled straight into the destination region.  The ground truth.
-* **sharded (in-process)** — one simulator per region, advanced in
+* **sharded** — one simulator per region, advanced in
   conservative-lookahead windows; cross-region sends travel through
   outboxes the conductor drains at window boundaries.
-* **sharded (forked)** — the same window algorithm, but each region
-  lives in a forked :class:`~repro.par.ForkPool` worker and converses
-  with the conductor over pre-fork :func:`multiprocessing.Pipe` pairs.
 
 The conservative window rule: with every inter-region link having
 delay Δ (the lookahead) and L the global lower bound on pending event
@@ -35,7 +32,6 @@ from typing import Any
 from ..core.errors import ConfigurationError
 from ..obs.export import merge_jsonl, spans_to_jsonl
 from ..obs.metrics import MetricsRegistry
-from ..par.pool import ForkPool, effective_jobs
 from ..sim.engine import Simulator
 from .region import CrossEntry, RegionWorld
 from .spec import FleetSpec, static_fibs
@@ -47,14 +43,10 @@ MODES = ("serial", "sharded")
 #: protocol mode (hello exchange + LSP flooding on fleet diameters).
 PROTOCOL_WARMUP = 30.0
 
-#: How long the parent waits on a region pipe before rechecking the
-#: worker's future for a crash (seconds, wall clock).
-_PIPE_POLL_S = 0.5
-
 
 @dataclass
 class FleetResult:
-    """All artifacts of one fleet run, region-structured and picklable."""
+    """All artifacts of one fleet run, region-structured."""
 
     spec: FleetSpec
     mode: str
@@ -113,9 +105,9 @@ def run_fleet(
 ) -> FleetResult:
     """Run a fleet to quiescence (or ``duration``) and collect artifacts.
 
-    ``mode="sharded"`` uses the spec's region partition; with
-    ``jobs`` >= 2 (or 0 = all CPUs) each region runs in a forked
-    worker, otherwise the window loop interleaves regions in-process.
+    ``mode="sharded"`` uses the spec's region partition and interleaves
+    the regions in conservative-lookahead windows.  ``jobs`` is accepted
+    and ignored: every mode runs in this process.
     ``link_changes`` are scheduled ``(t, a, b, alive)`` cut/restore
     events, applied identically in every mode.
     """
@@ -131,11 +123,9 @@ def run_fleet(
         for flow in plan_traffic(spec, flows, packets, interval=interval)
     ]
     if routing == "static":
-        static_fibs(spec)  # warm the pure cache once (pre-fork)
+        static_fibs(spec)  # warm the pure cache once
     if mode == "serial" or spec.shards == 1:
         return _run_serial(spec, mode, routing, plan, duration, link_changes)
-    if effective_jobs(jobs) > 1:
-        return _run_forked(spec, routing, plan, duration, link_changes)
     return _run_windows_inprocess(spec, routing, plan, duration, link_changes)
 
 
@@ -197,7 +187,7 @@ def _run_serial(
 
 
 # ----------------------------------------------------------------------
-# Sharded, in-process
+# Sharded
 # ----------------------------------------------------------------------
 def _run_windows_inprocess(
     spec: FleetSpec,
@@ -235,129 +225,6 @@ def _run_windows_inprocess(
     result = _assemble(spec, "sharded", routing, regions)
     result.extras["events"] = sum(world.sim.events_processed for world in worlds)
     result.extras["windows"] = windows
-    return result
-
-
-# ----------------------------------------------------------------------
-# Sharded, forked workers
-# ----------------------------------------------------------------------
-#: Context inherited by forked region workers (set pre-fork).  The
-#: usual repro.par pattern: closures and simulators cannot cross a
-#: pickle boundary, so workers rebuild their region from the spec and
-#: converse over inherited pipes.
-_FLEET_CONTEXT: dict[str, Any] | None = None
-
-
-def _region_worker(region_id: int) -> dict[str, Any]:
-    """One forked worker: build the region, then serve window commands."""
-    ctx = _FLEET_CONTEXT
-    if ctx is None:
-        raise ConfigurationError("fleet worker forked without context")
-    for index, (parent_end, child_end) in enumerate(ctx["pipes"]):
-        parent_end.close()
-        if index != region_id:
-            child_end.close()
-    conn = ctx["pipes"][region_id][1]
-    world = RegionWorld(
-        ctx["spec"], region_id, Simulator(), routing=ctx["routing"]
-    )
-    _prepare(world, ctx["plan"], ctx["link_changes"])
-    while True:
-        command = conn.recv()
-        if command[0] == "window":
-            _, until, inclusive, entries = command
-            world.inject(entries)
-            if until is not None:
-                world.sim.run(until=until, inclusive=inclusive)
-            conn.send((world.sim.next_event_time(), world.drain_outbox()))
-        elif command[0] == "finish":
-            conn.close()
-            return _finish(world, ctx["routing"])
-        else:  # pragma: no cover - protocol bug guard
-            raise ConfigurationError(f"unknown fleet command {command[0]!r}")
-
-
-def _recv(conn: Any, future: Any) -> Any:
-    """Receive from a region pipe, failing fast if the worker died."""
-    while not conn.poll(_PIPE_POLL_S):
-        if future.done():
-            future.result()  # raises the worker's exception
-            raise ConfigurationError("fleet worker exited mid-protocol")
-    return conn.recv()
-
-
-def _run_forked(
-    spec: FleetSpec,
-    routing: str,
-    plan: list[Flow],
-    duration: float | None,
-    link_changes,
-) -> FleetResult:
-    global _FLEET_CONTEXT
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    pipes = [context.Pipe() for _ in range(spec.shards)]
-    _FLEET_CONTEXT = {
-        "spec": spec,
-        "routing": routing,
-        "plan": plan,
-        "link_changes": link_changes,
-        "pipes": pipes,
-    }
-    delta = spec.link_delay
-    windows = 0
-    try:
-        # One *blocking* item per region, so the pool must hold exactly
-        # one worker per region — a smaller pool would deadlock.
-        with ForkPool(_region_worker, jobs=spec.shards) as pool:
-            if pool.jobs == 1:  # fork unavailable: same loop, in-process
-                _FLEET_CONTEXT = None
-                return _run_windows_inprocess(
-                    spec, routing, plan, duration, link_changes
-                )
-            futures = [pool.submit(region) for region in range(spec.shards)]
-            conns = [parent_end for parent_end, _ in pipes]
-            next_times = [float("inf")] * spec.shards
-            pending: list[list[CrossEntry]] = [[] for _ in range(spec.shards)]
-
-            def exchange(until: float | None, inclusive: bool) -> None:
-                for region, conn in enumerate(conns):
-                    conn.send(("window", until, inclusive, pending[region]))
-                    pending[region] = []
-                for region, conn in enumerate(conns):
-                    next_times[region], outbox = _recv(conn, futures[region])
-                    for entry in outbox:
-                        pending[spec.region_of(entry[2])].append(entry)
-
-            exchange(None, True)  # probe initial event times
-            while True:
-                bound = min(
-                    next_times
-                    + [entry[0] for queue in pending for entry in queue]
-                )
-                if bound == float("inf") or (
-                    duration is not None and bound > duration
-                ):
-                    break
-                windows += 1
-                horizon = bound + delta
-                if duration is not None and horizon > duration:
-                    exchange(duration, True)
-                else:
-                    exchange(horizon, False)
-            for conn in conns:
-                conn.send(("finish",))
-            regions = [future.result() for future in futures]
-    finally:
-        _FLEET_CONTEXT = None
-        for parent_end, child_end in pipes:
-            parent_end.close()
-            child_end.close()
-    result = _assemble(spec, "sharded", routing, regions)
-    result.extras["events"] = sum(region["events"] for region in regions)
-    result.extras["windows"] = windows
-    result.extras["workers"] = spec.shards
     return result
 
 

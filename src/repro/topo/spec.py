@@ -4,7 +4,7 @@ A :class:`FleetSpec` is a frozen, hashable description of a routed
 fleet — node set, edge set, link delay, region partition, seed.  Every
 derived structure here (interface numbering, BFS distances, oracle
 next hops, region assignment) is a **pure function of the spec**, so
-the serial conductor, each forked region worker, and any test can
+the serial conductor, each sharded region, and any test can
 recompute it independently and agree bit-for-bit without exchanging
 state.
 
@@ -316,8 +316,7 @@ def bfs_distances(spec: FleetSpec, source: int) -> dict[int, int]:
 def static_fibs(spec: FleetSpec) -> dict[int, dict[int, int]]:
     """Oracle FIBs: shortest-path next hops with lowest-address
     tie-break, per node.  One reverse-BFS per destination, so the cost
-    is O(nodes * edges) — computed once per spec (and inherited by
-    forked workers through this cache when computed pre-fork)."""
+    is O(nodes * edges) — computed once per spec."""
     adj = adjacency(spec.nodes, spec.edges)
     fibs: dict[int, dict[int, int]] = {n: {} for n in spec.nodes}
     for dst in spec.nodes:

@@ -3,8 +3,8 @@
 A plan is a list of :class:`Flow` records — (src, dst, start, packet
 count, interval) — drawn from the spec's named ``traffic`` rng stream,
 so the plan is a pure function of ``(spec, flows, packets)``: the
-serial conductor and every sharded worker can rebuild it identically,
-and nothing about the plan needs to cross a pipe.
+serial conductor and every sharded region can rebuild it identically
+without exchanging state.
 """
 
 from __future__ import annotations

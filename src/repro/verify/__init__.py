@@ -6,12 +6,10 @@ sampled tactics); :mod:`repro.verify.modelcheck` an explicit-state
 model checker for protocol safety properties;
 :mod:`repro.verify.ownership` the Dafny-ownership-substitute
 interference analysis; :mod:`repro.verify.effort` the proof-effort
-comparison metrics of experiment E3; :mod:`repro.verify.runner` the
-parallel/cached batch proof runner (``python -m repro.verify`` is its
-CLI).
+comparison metrics of experiment E3.  ``python -m repro.verify`` proves
+the framing lemma libraries from the shell.
 """
 
-from . import lemma
 from .effort import EffortComparison, Obligation
 from .lemma import (
     CaseSource,
@@ -20,6 +18,7 @@ from .lemma import (
     LibraryReport,
     ProofResult,
     exhaustive,
+    prove_libraries,
     sampled,
 )
 from .modelcheck import (
@@ -32,13 +31,7 @@ from .modelcheck import (
     check,
 )
 from .ownership import OwnershipReport, analyze_ownership, compare_ownership
-from .runner import prove_libraries
 from .tcpmodels import CmModel, MonolithicModel, OsrModel, RdModel
-
-# Dependency inversion: the runner imports repro.verify.lemma, so the
-# lemma module reaches it back through this injected hook (a direct
-# import would be a cycle; the static checker rejects those).
-lemma._prove_batch = prove_libraries
 
 __all__ = [
     "CheckResult",

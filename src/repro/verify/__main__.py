@@ -1,18 +1,15 @@
 """``python -m repro.verify`` — prove framing lemma libraries from the shell.
 
 Builds the Section-4.1 lemma library for each requested stuffing rule
-and proves them all through :func:`repro.verify.runner.prove_libraries`,
-optionally in parallel (``--jobs``) and against the content-hash proof
-cache (``--cache``).  The report JSON is canonical — no wall-clock
-fields, results sorted by lemma name — so ``--jobs 4`` output is
-byte-identical to ``--jobs 1`` output (CI compares them with ``cmp``).
+and proves them all through :func:`repro.verify.lemma.prove_libraries`.
+The report JSON is canonical — no wall-clock fields, results sorted by
+lemma name — so two runs of the same command produce identical bytes.
 
 Examples::
 
     python -m repro.verify                         # HDLC + low-overhead
     python -m repro.verify --rule hdlc --max-len 10
     python -m repro.verify --rule 00000010:0000001:1
-    python -m repro.verify --jobs 4 --cache        # parallel, warm cache
 
 Exit status is 0 iff every lemma of every library proved.
 """
@@ -27,8 +24,7 @@ from typing import Sequence
 from ..core.bits import Bits
 from ..datalink.framing.lemmas import build_framing_library
 from ..datalink.framing.rules import HDLC_RULE, LOW_OVERHEAD_RULE, StuffingRule
-from ..par import DEFAULT_CACHE_DIR, ProofCache
-from .runner import prove_libraries
+from .lemma import prove_libraries
 
 #: Named rules accepted by ``--rule``.
 NAMED_RULES: dict[str, StuffingRule] = {
@@ -63,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify",
         description=(
-            "Prove the Section-4.1 framing lemma libraries, optionally in "
-            "parallel and against the content-hash proof cache."
+            "Prove the Section-4.1 framing lemma libraries."
         ),
     )
     parser.add_argument(
@@ -85,22 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound for the exhaustive bit-string domains (default: 9)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes; 0 = all CPUs (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="memoise proved lemmas in the content-hash proof cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"proof cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
         "--out",
         type=argparse.FileType("w"),
         default=sys.stdout,
@@ -117,16 +96,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     libraries = [
         build_framing_library(rule, max_len=args.max_len) for rule in rules
     ]
-    cache = ProofCache(root=args.cache_dir) if args.cache else None
-    reports = prove_libraries(libraries, jobs=args.jobs, cache=cache)
+    reports = prove_libraries(libraries)
 
     payload = {
         "max_len": args.max_len,
         "proved": all(report.proved for report in reports.values()),
         "libraries": {name: report.as_dict() for name, report in reports.items()},
     }
-    if cache is not None:
-        payload["cache"] = cache.stats()
 
     json.dump(payload, args.out, indent=1, sort_keys=True)
     args.out.write("\n")

@@ -31,14 +31,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
 from ..core.errors import VerificationError
-from ..par import ProofCache, callable_fingerprint
-
-#: The batch proof runner, injected by :mod:`repro.verify` at import
-#: time (dependency inversion: :mod:`repro.verify.runner` imports this
-#: module, so this module must not import it back — the static
-#: import-cycle check enforces that).  ``prove_all(parallel=/cache=)``
-#: delegates through this hook.
-_prove_batch: Callable[..., dict[str, "LibraryReport"]] | None = None
 
 
 @dataclass
@@ -61,7 +53,7 @@ class ProofResult:
 
         Wall time is the one field that differs between two runs of the
         same proof, so leaving it out makes reports byte-comparable
-        across serial, parallel, and cached runs.  Counterexample
+        across runs.  Counterexample
         elements are rendered with ``repr`` (case tuples may hold
         non-JSON types like :class:`~repro.core.bits.Bits`).
         """
@@ -127,18 +119,6 @@ class Lemma:
     def crosses_sublayers(self) -> bool:
         """True when the lemma spans an interface (``"stuffing/flags"``)."""
         return "/" in self.sublayer
-
-    def fingerprint(self) -> str:
-        """Content hash of everything this proof's outcome depends on.
-
-        Covers the property and case source transitively — their source
-        text, closed-over values (rules, automata), defaults (sample
-        counts, seeds), and any ``repro``-package code they call through
-        module globals.  Two lemmas with the same fingerprint would
-        produce the same :class:`ProofResult`, which is what lets
-        :class:`~repro.par.ProofCache` skip re-proving unchanged lemmas.
-        """
-        return callable_fingerprint(self.prop, self.cases)
 
     def prove(self) -> ProofResult:
         """Check the property over every case; stop at the first failure."""
@@ -212,9 +192,8 @@ class LibraryReport:
     """Aggregate result of proving a lemma library.
 
     ``results`` are kept sorted by lemma name (see :meth:`sort`) so a
-    report renders identically no matter what order the proofs finished
-    in — serial, parallel, or partially cached.  ``order`` preserves
-    the dependency-respecting order the proofs were *scheduled* in.
+    report renders independently of proof order.  ``order`` preserves
+    the dependency-respecting order the proofs were run in.
     """
 
     results: list[ProofResult] = field(default_factory=list)
@@ -272,9 +251,8 @@ class LemmaLibrary:
 
     Mirrors the paper's Coq artifact organisation: lemmas are added in
     dependency order (``add`` rejects unknown dependencies, so insertion
-    order is always topological), proved via :meth:`prove_all` — serially,
-    in parallel waves, or against a :class:`~repro.par.ProofCache` —
-    and summarised by the modularity metrics of the paper's lesson 1
+    order is always topological), proved via :meth:`prove_all`, and
+    summarised by the modularity metrics of the paper's lesson 1
     (:meth:`modularity_report`).
     """
 
@@ -318,60 +296,12 @@ class LemmaLibrary:
         topological because ``add`` requires dependencies to exist)."""
         return list(self._lemmas)
 
-    def proof_waves(self) -> list[list[str]]:
-        """Partition lemmas into dependency waves for parallel proving.
-
-        A lemma's *level* is 1 + the maximum level of its dependencies
-        (0 for lemmas with none).  All lemmas in one wave are mutually
-        independent, so a pool may prove a whole wave concurrently;
-        within a wave, insertion order is preserved.
-        """
-        levels: dict[str, int] = {}
-        for name, lemma in self._lemmas.items():
-            levels[name] = 1 + max(
-                (levels[dep] for dep in lemma.depends_on), default=-1
-            )
-        waves: list[list[str]] = [[] for _ in range(max(levels.values(), default=-1) + 1)]
-        for name in self._lemmas:
-            waves[levels[name]].append(name)
-        return waves
-
-    def prove_all(
-        self,
-        stop_on_failure: bool = False,
-        parallel: int | None = None,
-        cache: "ProofCache | None" = None,
-    ) -> LibraryReport:
+    def prove_all(self, stop_on_failure: bool = False) -> LibraryReport:
         """Prove every lemma in dependency order.
 
-        Parameters
-        ----------
-        stop_on_failure:
-            Stop scheduling further proofs once a lemma fails (with
-            ``parallel``, the already-running wave still completes).
-        parallel:
-            Number of worker processes (``None``/1 serial, 0 = all
-            CPUs); waves of independent lemmas are proved concurrently
-            through :class:`~repro.par.ForkPool`.
-        cache:
-            A :class:`~repro.par.ProofCache`; lemmas whose fingerprint
-            matches a cached *proved* result are skipped, failures are
-            always re-proved.
-
-        Results in the returned report are sorted by lemma name, so the
-        report is identical whichever execution strategy ran it.
+        ``stop_on_failure`` stops at the first lemma that fails.  Results
+        in the returned report are sorted by lemma name.
         """
-        if parallel is not None or cache is not None:
-            if _prove_batch is None:
-                raise VerificationError(
-                    "no batch runner installed; import repro.verify first"
-                )
-            return _prove_batch(
-                [self],
-                jobs=parallel,
-                cache=cache,
-                stop_on_failure=stop_on_failure,
-            )[self.name]
         report = LibraryReport(order=self.topological_order())
         for name in report.order:
             result = self._lemmas[name].prove()
@@ -420,3 +350,22 @@ class LemmaLibrary:
                 else 1.0
             ),
         }
+
+
+def prove_libraries(
+    libraries: Iterable[LemmaLibrary], stop_on_failure: bool = False
+) -> dict[str, LibraryReport]:
+    """Prove each library in turn; reports keyed by library name.
+
+    Names must be unique.  ``stop_on_failure`` is passed to each
+    library's :meth:`LemmaLibrary.prove_all`.
+    """
+    batch = list(libraries)
+    names = [library.name for library in batch]
+    for name in names:
+        if names.count(name) > 1:
+            raise VerificationError(f"duplicate library name {name!r} in batch")
+    return {
+        library.name: library.prove_all(stop_on_failure=stop_on_failure)
+        for library in batch
+    }

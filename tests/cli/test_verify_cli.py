@@ -1,14 +1,10 @@
 """Tests for the ``python -m repro.verify`` CLI."""
 
 import json
-import os
 
 import pytest
 
 from repro.verify.__main__ import main, parse_rule
-
-FORKING = os.name == "posix"
-
 
 def run(tmp_path, name, *argv):
     out = tmp_path / f"{name}.json"
@@ -17,18 +13,6 @@ def run(tmp_path, name, *argv):
 
 
 class TestVerifyCli:
-    def test_jobs4_output_byte_identical_to_jobs1(self, tmp_path):
-        if not FORKING:
-            pytest.skip("fork-only")
-        status1, serial = run(
-            tmp_path, "serial", "--max-len", "5", "--jobs", "1"
-        )
-        status4, parallel = run(
-            tmp_path, "parallel", "--max-len", "5", "--jobs", "4"
-        )
-        assert status1 == status4 == 0
-        assert serial == parallel
-
     def test_report_shape(self, tmp_path):
         status, raw = run(tmp_path, "shape", "--max-len", "5", "--rule", "hdlc")
         report = json.loads(raw)
@@ -39,20 +23,6 @@ class TestVerifyCli:
         (library,) = report["libraries"].values()
         names = [result["lemma"] for result in library["results"]]
         assert names == sorted(names)
-
-    def test_cache_stats_reported_and_warm_run_hits(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        args = (
-            "--max-len", "5", "--rule", "hdlc",
-            "--cache", "--cache-dir", str(cache_dir),
-        )
-        _, cold = run(tmp_path, "cold", *args)
-        _, warm = run(tmp_path, "warm", *args)
-        cold_stats = json.loads(cold)["cache"]
-        warm_stats = json.loads(warm)["cache"]
-        assert cold_stats["hits"] == 0
-        assert warm_stats["misses"] == 0
-        assert warm_stats["hits"] == warm_stats["entries"] > 0
 
     def test_invalid_rule_fails(self, tmp_path):
         # flag 0110 / trigger 11 / stuff 0 is a known-bad rule: the

@@ -20,15 +20,10 @@ SCOPED_MODULES = [
     "src/repro/core/sublayer.py",
     "src/repro/compose/builder.py",
     "src/repro/verify/lemma.py",
-    "src/repro/verify/runner.py",
     "src/repro/verify/__main__.py",
     "src/repro/faults/schedule.py",
     "src/repro/faults/scenarios.py",
     "src/repro/faults/__main__.py",
-    "src/repro/par/__init__.py",
-    "src/repro/par/pool.py",
-    "src/repro/par/cache.py",
-    "src/repro/par/fingerprint.py",
 ]
 
 

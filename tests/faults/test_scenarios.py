@@ -87,6 +87,12 @@ class TestMatrices:
         with pytest.raises(ConfigurationError, match="unknown scenario"):
             run_campaign("smoke", seeds=[0], only=["not-a-scenario"])
 
+    def test_metrics_aggregate_present(self):
+        report = run_campaign("smoke", [0])
+        assert report["ok"]
+        assert report["metrics"]["faults_injected"] > 0
+        assert report["metrics"]["counters"] > 0
+
 
 class TestCli:
     def test_smoke_campaign_green_report(self, tmp_path, capsys):

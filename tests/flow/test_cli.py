@@ -39,16 +39,6 @@ def test_out_writes_the_report(tmp_path, capsys):
     assert data["passed"] is True
 
 
-def test_cache_cold_then_warm(tmp_path, capsys):
-    cache_args = ["--cache", "--cache-dir", str(tmp_path)]
-    assert main(cache_args) == 0
-    cold = capsys.readouterr().out
-    assert "0 hits, 4 misses" in cold
-    assert main(cache_args) == 0
-    warm = capsys.readouterr().out
-    assert "4 hits, 0 misses" in warm
-
-
 def test_list_names_the_examples(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out

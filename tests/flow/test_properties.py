@@ -4,7 +4,6 @@ import pytest
 
 from repro.flow.properties import analyze, analyze_all
 from repro.flow.spec import FlowSpec
-from repro.par.cache import ProofCache
 
 
 def load(fixtures, name: str) -> FlowSpec:
@@ -86,27 +85,7 @@ class TestTenantMeet:
         assert "alpha" in violation.message and "beta" in violation.message
 
 
-class TestCaching:
-    def test_second_run_hits_and_reproduces_the_report(self, fixtures, tmp_path):
-        cache = ProofCache(root=tmp_path, domain="flow")
-        spec = load(fixtures, "escape")
-        first = analyze(spec, cache=cache)
-        assert cache.stats()["misses"] == 1
-        second = analyze(spec, cache=cache)
-        assert cache.stats()["hits"] == 1
-        assert second.as_dict() == first.as_dict()  # witness replayed too
-
-    def test_fib_change_invalidates_the_entry(self, fixtures, tmp_path):
-        cache = ProofCache(root=tmp_path, domain="flow")
-        spec = load(fixtures, "clean")
-        analyze(spec, cache=cache)
-        changed = dict(spec.as_dict())
-        changed["fibs"] = dict(changed["fibs"])
-        changed["fibs"]["1"] = {"2": 2}  # drop a route
-        analyze(FlowSpec.from_dict(changed), cache=cache)
-        assert cache.stats()["hits"] == 0
-        assert cache.stats()["misses"] == 2
-
+class TestAnalyzeAll:
     def test_analyze_all_keys_reports_by_spec_name(self, fixtures):
         reports = analyze_all(
             [load(fixtures, "clean"), load(fixtures, "loop")]

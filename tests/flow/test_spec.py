@@ -1,9 +1,9 @@
-"""FlowSpec loading, validation, topology snapshot, fingerprinting."""
+"""FlowSpec loading, validation, topology snapshot."""
 
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.flow.spec import DEFAULT_TTL, FlowSpec, spec_fingerprint
+from repro.flow.spec import DEFAULT_TTL, FlowSpec
 from repro.network.topology import Topology
 from repro.sim.engine import Simulator
 
@@ -76,23 +76,6 @@ class TestFixtures:
     def test_missing_file_raises(self, fixtures):
         with pytest.raises(ConfigurationError):
             FlowSpec.from_file(fixtures / "nope.json")
-
-
-class TestFingerprint:
-    def test_stable_across_declaration_order(self):
-        a = FlowSpec.from_dict(line3())
-        data = line3()
-        data["nodes"] = [3, 1, 2]
-        data["edges"] = [[2, 3], [1, 2]]
-        b = FlowSpec.from_dict(data)
-        assert spec_fingerprint(a) == spec_fingerprint(b)
-
-    def test_changes_when_a_route_changes(self):
-        a = FlowSpec.from_dict(line3())
-        data = line3()
-        data["fibs"]["1"]["3"] = 3  # reroute via a different next hop
-        b = FlowSpec.from_dict(data)
-        assert spec_fingerprint(a) != spec_fingerprint(b)
 
 
 class TestFromTopology:

@@ -65,15 +65,14 @@ def test_sharded_matches_serial_protocol():
     assert artifacts(serial) == artifacts(sharded)
 
 
-def test_forked_workers_match_serial():
+def test_ignored_jobs_keyword_matches_serial():
     spec = make_spec("grid", 16, shards=2, seed=3)
     serial = run_fleet(spec, mode="serial", routing="static", flows=6, packets=5)
-    forked = run_fleet(
+    sharded = run_fleet(
         spec, mode="sharded", routing="static", flows=6, packets=5, jobs=2
     )
-    assert artifacts(serial) == artifacts(forked)
-    if forked.extras.get("workers"):  # fork available on this platform
-        assert forked.extras["workers"] == 2
+    assert artifacts(serial) == artifacts(sharded)
+    assert "workers" not in sharded.extras
 
 
 def test_link_cut_applies_identically(tmp_path):

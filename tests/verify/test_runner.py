@@ -1,12 +1,10 @@
-"""Tests for the parallel/cached batch proof runner and report ordering."""
+"""Tests for the multi-library proof loop and report ordering."""
 
 import json
-import os
 
 import pytest
 
 from repro.core.errors import VerificationError
-from repro.par import ProofCache
 from repro.verify import prove_libraries
 from repro.verify.lemma import (
     Lemma,
@@ -15,8 +13,6 @@ from repro.verify.lemma import (
     ProofResult,
     exhaustive,
 )
-
-FORKING = os.name == "posix"
 
 
 def domain():
@@ -64,21 +60,9 @@ class TestProveLibraries:
         batch = prove_libraries([build_library()])["lib"]
         assert batch.as_dict() == build_library().prove_all().as_dict()
 
-    @pytest.mark.skipif(not FORKING, reason="fork-only")
-    def test_parallel_report_identical_to_serial(self):
-        serial = prove_libraries([build_library()])["lib"].as_dict()
-        parallel = prove_libraries([build_library()], jobs=2)["lib"].as_dict()
-        assert json.dumps(serial, sort_keys=True) == json.dumps(
-            parallel, sort_keys=True
-        )
-
     def test_duplicate_library_names_rejected(self):
         with pytest.raises(VerificationError, match="duplicate"):
             prove_libraries([build_library(), build_library()])
-
-    def test_prove_all_delegates_to_runner(self):
-        report = build_library().prove_all(parallel=1)
-        assert report.proved and len(report.results) == 3
 
     def test_stop_on_failure_parity(self):
         def broken(x):
@@ -93,58 +77,3 @@ class TestProveLibraries:
             r.lemma for r in batch.results
         ]
 
-
-class TestCacheBehaviour:
-    def test_unchanged_library_hits_cache(self, tmp_path):
-        cache = ProofCache(root=tmp_path)
-        prove_libraries([build_library()], cache=cache)
-        assert cache.stats()["misses"] == 3
-        warm = ProofCache(root=tmp_path)
-        report = prove_libraries([build_library()], cache=warm)["lib"]
-        assert warm.stats() == {"hits": 3, "misses": 0, "entries": 3}
-        assert report.proved and report.total_cases > 0
-
-    def test_cached_report_identical_to_cold(self, tmp_path):
-        cache = ProofCache(root=tmp_path)
-        cold = prove_libraries([build_library()], cache=cache)["lib"].as_dict()
-        warm = prove_libraries([build_library()], cache=cache)["lib"].as_dict()
-        assert json.dumps(cold, sort_keys=True) == json.dumps(
-            warm, sort_keys=True
-        )
-
-    def test_edited_lemma_body_invalidates(self, tmp_path):
-        cache = ProofCache(root=tmp_path)
-        prove_libraries([build_library(body=lambda x: x * x >= 0)], cache=cache)
-        edited = build_library(body=lambda x: x * x >= 0 * x)
-        hits_before = cache.hits
-        report = prove_libraries([edited], cache=cache)["lib"]
-        assert report.proved
-        # zebra and alpha are unchanged (hits); mid was edited (miss).
-        assert cache.hits - hits_before == 2
-        assert cache.misses == 3 + 1
-
-    def test_failures_never_cached(self, tmp_path):
-        cache = ProofCache(root=tmp_path)
-
-        def broken(x):
-            return x < 5
-
-        for _ in range(2):
-            report = prove_libraries(
-                [build_library(body=broken)], cache=cache
-            )["lib"]
-            assert not report.proved
-        # mid missed both times; its red result was never stored.
-        assert cache.stats()["entries"] == 2
-        assert cache.misses >= 2
-
-    def test_prove_all_cache_requires_runner_hook(self, tmp_path):
-        from repro.verify import lemma as lemma_module
-
-        hook = lemma_module._prove_batch
-        try:
-            lemma_module._prove_batch = None
-            with pytest.raises(VerificationError, match="batch runner"):
-                build_library().prove_all(parallel=2)
-        finally:
-            lemma_module._prove_batch = hook
