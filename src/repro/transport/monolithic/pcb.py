@@ -59,7 +59,8 @@ def make_pcb(
         # --- reliable delivery (send side) ---
         snd_una=0,
         snd_nxt=0,
-        stream=b"",            # all bytes the app ever sent
+        stream=b"",            # app bytes not yet acked (from stream_base on)
+        stream_base=0,         # stream offset of stream[0]
         rtx_timer=None,
         rtt_seq=None,          # sequence being timed for RTT
         rtt_start=0.0,

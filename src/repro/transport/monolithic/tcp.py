@@ -284,6 +284,12 @@ class MonolithicTcpHost:
             with acting_as("rd"):
                 control.snd_una = ack_abs
                 control.retransmits = 0
+                # Acked bytes leave the send buffer (a FIN's ack reaches
+                # one sequence number past them).
+                start = self._stream_start(control)
+                acked = min(ack_abs, start + len(control.stream)) - start
+                control.stream = control.stream[acked:]
+                control.stream_base = control.stream_base + acked
                 # RTT sampling with Karn's rule (only untimed-clean seqs)
                 if control.rtt_seq is not None and ack_abs > control.rtt_seq:
                     self._rtt_sample(control, self.clock.now() - control.rtt_start)
@@ -441,7 +447,7 @@ class MonolithicTcpHost:
                 cwnd = control.cwnd
                 snd_una = control.snd_una
                 snd_nxt = control.snd_nxt
-                stream_end = control.iss + 1 + len(control.stream)
+                stream_end = self._stream_start(control) + len(control.stream)
                 window = min(cwnd, snd_wnd)
                 usable = snd_una + window - snd_nxt
                 available = stream_end - snd_nxt
@@ -460,13 +466,18 @@ class MonolithicTcpHost:
                 self._arm_persist(control)
             return
 
+    @staticmethod
+    def _stream_start(control) -> int:
+        """Sequence number of the first byte still in the send buffer."""
+        return control.iss + 1 + control.stream_base
+
     def _should_send_fin(self, control) -> bool:
         with acting_as("cm"):
             return control.fin_pending and not control.fin_sent
 
     def _send_data_chunk(self, control, seq: int, length: int) -> None:
         with acting_as("rd"):
-            start = seq - (control.iss + 1)
+            start = seq - self._stream_start(control)
             payload = control.stream[start : start + length]
             control.snd_nxt = seq + length
             if control.rtt_seq is None:
@@ -589,7 +600,7 @@ class MonolithicTcpHost:
         """Resend the earliest unacked chunk (data or FIN)."""
         with acting_as("rd"):
             snd_una = control.snd_una
-            start = snd_una - (control.iss + 1)
+            start = snd_una - self._stream_start(control)
             payload = control.stream[start : start + self.config.mss]
         if payload:
             self._emit(control, seq=snd_una, payload=payload)
@@ -620,13 +631,13 @@ class MonolithicTcpHost:
             snd_wnd = control.snd_wnd
         with acting_as("rd"):
             snd_nxt = control.snd_nxt
-            stream_end = control.iss + 1 + len(control.stream)
+            stream_end = self._stream_start(control) + len(control.stream)
         if snd_wnd > 0 or snd_nxt >= stream_end:
             self._output(control)
             return
         # One byte beyond the window: the zero-window probe.
         with acting_as("rd"):
-            start = snd_nxt - (control.iss + 1)
+            start = snd_nxt - self._stream_start(control)
             probe = control.stream[start : start + 1]
         self._emit(control, seq=snd_nxt, payload=probe)
         self._arm_persist(control)

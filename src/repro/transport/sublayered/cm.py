@@ -113,7 +113,7 @@ class CmSublayer(Sublayer):
         self._send_syn(conn)
 
     def srv_listen(self, port: int) -> None:
-        listening = set(self.state.listening)
+        listening = self.state.listening
         listening.add(port)
         self.state.listening = listening
         if self.below is None:
@@ -127,7 +127,6 @@ class CmSublayer(Sublayer):
         record = self._get(conn)
         if record is None:
             return
-        record = dict(record)
         record["local_fin_offset"] = final_offset
         self._put(conn, record)
         self._send_fin(conn)
@@ -213,7 +212,6 @@ class CmSublayer(Sublayer):
         record = self._get(conn)
         if record is None or record["phase"] == P_ESTABLISHED:
             return
-        record = dict(record)
         record["retries"] += 1
         self._put(conn, record)
         if record["retries"] > self.max_retries:
@@ -298,7 +296,6 @@ class CmSublayer(Sublayer):
             return
         if values["ack_isn"] != record["isn"]:
             return  # not acking our SYN
-        record = dict(record)
         record["remote_isn"] = values["isn"]
         record["phase"] = P_ESTABLISHED
         self._put(conn, record)
@@ -313,7 +310,6 @@ class CmSublayer(Sublayer):
             return
         if values["ack_isn"] != record["isn"]:
             return
-        record = dict(record)
         record["phase"] = P_ESTABLISHED
         self._put(conn, record)
         self._cancel(conn, "hs")
@@ -327,7 +323,6 @@ class CmSublayer(Sublayer):
         if record["phase"] == P_SYN_RCVD and values["isn"] == record["remote_isn"]:
             # Data implies the peer got our SYNACK but our view of its
             # HSACK was lost: promote, as standard TCP does.
-            record = dict(record)
             record["phase"] = P_ESTABLISHED
             self._put(conn, record)
             self._cancel(conn, "hs")
@@ -348,7 +343,6 @@ class CmSublayer(Sublayer):
             conn=conn,
         )
         if not record["remote_fin_rcvd"]:
-            record = dict(record)
             record["remote_fin_rcvd"] = True
             self._put(conn, record)
             self.notify("peer_closed", conn, values["offset"])
@@ -360,7 +354,6 @@ class CmSublayer(Sublayer):
         if values["offset"] != record["local_fin_offset"]:
             return
         if not record["local_fin_acked"]:
-            record = dict(record)
             record["local_fin_acked"] = True
             self._put(conn, record)
             self._cancel(conn, "fin")

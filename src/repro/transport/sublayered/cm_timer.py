@@ -131,7 +131,6 @@ class TimerCmSublayer(CmSublayer):
         elif record["remote_isn"] is None:
             # Active side learning the peer's ISN from the first
             # returning segment: latch and have RD rebase.
-            record = dict(record)
             record["remote_isn"] = values["isn"]
             self._put(conn, record)
             self.notify("established", conn)  # re-announce with real ISNs
@@ -154,7 +153,6 @@ class TimerCmSublayer(CmSublayer):
     def _touch(self, conn: ConnId) -> None:
         record = self._get(conn)
         if record is not None:
-            record = dict(record)
             record["last_activity"] = self.clock.now()
             self._put(conn, record)
 
@@ -167,7 +165,7 @@ class TimerCmSublayer(CmSublayer):
             return
         idle = self.clock.now() - record["last_activity"]
         if idle + 1e-9 >= self.quiet_interval:
-            conns = dict(self.state.conns)
+            conns = self.state.conns
             conns.pop(conn, None)
             self.state.conns = conns
             self.state.expired = self.state.expired + 1

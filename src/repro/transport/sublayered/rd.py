@@ -160,16 +160,13 @@ class RdSublayer(Sublayer):
             # unreliably — no tracking, no retransmission, no ack.
             self._transmit(conn, offset, segment)
             return
-        record = dict(record)
-        outstanding = dict(record["outstanding"])
-        outstanding[offset] = (segment, length)
-        record["outstanding"] = outstanding
+        record["outstanding"][offset] = (segment, length)
         self._put(conn, record)
         self.count("segments_sent")
         self._transmit(conn, offset, segment)
         self._arm(conn)
         if record["rtt_offset"] is None:
-            record = dict(self._get(conn))
+            record = self._get(conn)
             record["rtt_offset"] = offset
             record["rtt_start"] = self.clock.now()
             self._put(conn, record)
@@ -178,7 +175,6 @@ class RdSublayer(Sublayer):
         record = self._get(conn)
         if record is None:
             return
-        record = dict(record)
         record["pending_close"] = final_offset
         self._put(conn, record)
         self._maybe_complete_close(conn)
@@ -200,7 +196,6 @@ class RdSublayer(Sublayer):
             # while the receive side is untouched, which CM guarantees
             # by re-announcing before delivering the first segment.
             if record["rcv_nxt"] == 0 and not record["rcv_ooo"]:
-                record = dict(record)
                 record["remote_isn"] = remote_isn
                 self._put(conn, record)
         self.notify("established", conn)
@@ -209,7 +204,6 @@ class RdSublayer(Sublayer):
         record = self._get(conn)
         if record is None:
             return
-        record = dict(record)
         record["peer_fin_offset"] = fin_offset
         self._put(conn, record)
         self._maybe_notify_peer_closed(conn)
@@ -348,8 +342,7 @@ class RdSublayer(Sublayer):
             self._send_pure_ack(conn)
             return
 
-        record = dict(record)
-        ooo = dict(record["rcv_ooo"])
+        ooo = record["rcv_ooo"]
         for f_start, f_end in fresh:
             ooo[f_start] = f_end - f_start
         # merge adjacent ooo ranges and advance rcv_nxt
@@ -393,7 +386,6 @@ class RdSublayer(Sublayer):
         if fin_offset is None:
             return
         if record["rcv_nxt"] >= fin_offset and not record["rcv_ooo"]:
-            record = dict(record)
             record["peer_close_notified"] = True
             self._put(conn, record)
             self.notify("peer_closed", conn, fin_offset)
@@ -406,13 +398,11 @@ class RdSublayer(Sublayer):
         assert record is not None
         base = record["isn"] + 1
         acked_through = unfold(base + record["acked_through"], values["ack"]) - base
-        record = dict(record)
         advanced = acked_through > record["acked_through"]
         newly_acked: list[tuple[int, int, bool]] = []  # (offset, len, sacked)
+        outstanding, sacked = record["outstanding"], record["sacked"]
 
         if advanced:
-            outstanding = dict(record["outstanding"])
-            sacked = set(record["sacked"])
             for offset in sorted(outstanding):
                 seg, length = outstanding[offset]
                 if offset + length <= acked_through:
@@ -424,8 +414,6 @@ class RdSublayer(Sublayer):
                         # notification would make OSR's flight
                         # accounting underflow
                         newly_acked.append((offset, length, False))
-            record["outstanding"] = outstanding
-            record["sacked"] = sacked
             record["acked_through"] = acked_through
             record["dupacks"] = 0
             if record["rtt_offset"] is not None and (
@@ -443,7 +431,7 @@ class RdSublayer(Sublayer):
                     ),
                     self.rto_max,
                 )
-        elif acked_through == record["acked_through"] and record["outstanding"]:
+        elif acked_through == record["acked_through"] and outstanding:
             record["dupacks"] += 1
 
         # SACK: segments inside the advertised range leave the flight.
@@ -451,8 +439,6 @@ class RdSublayer(Sublayer):
         if self.sack_enabled and sack_right != sack_left:
             left = unfold(base + record["acked_through"], sack_left) - base
             right = unfold(base + record["acked_through"], sack_right) - base
-            outstanding = dict(record["outstanding"])
-            sacked = set(record["sacked"])
             for offset in sorted(outstanding):
                 seg, length = outstanding[offset]
                 if left <= offset and offset + length <= right and (
@@ -460,15 +446,13 @@ class RdSublayer(Sublayer):
                 ):
                     sacked.add(offset)
                     newly_acked.append((offset, length, True))
-            record["sacked"] = sacked
 
-        dupacks = record["dupacks"]
+        dupacks, srtt = record["dupacks"], record["srtt"]
         self._put(conn, record)
 
         for offset, length, sacked_flag in newly_acked:
             self.notify(
-                "acked", conn, offset, length,
-                rtt=record["srtt"], sacked=sacked_flag,
+                "acked", conn, offset, length, rtt=srtt, sacked=sacked_flag,
             )
 
         if dupacks == self.dupack_threshold:
@@ -505,7 +489,6 @@ class RdSublayer(Sublayer):
             # Everything cumulatively acked: hand the FIN to CM.
             assert self.below is not None
             final_offset = record["pending_close"]
-            record = dict(record)
             record["pending_close"] = None
             self._put(conn, record)
             self.below.close(conn, final_offset)
@@ -539,7 +522,6 @@ class RdSublayer(Sublayer):
         record = self._get(conn)
         if record is None or not record["outstanding"]:
             return
-        record = dict(record)
         record["rto"] = min(record["rto"] * 2, self.rto_max)
         record["rtt_offset"] = None  # Karn
         self._put(conn, record)
@@ -558,7 +540,6 @@ class RdSublayer(Sublayer):
         top = max(record["outstanding"])
         end = top + record["outstanding"][top][1]
         if end > record["recovery_until"]:
-            record = dict(record)
             record["recovery_until"] = end
             self._put(conn, record)
 
@@ -576,7 +557,6 @@ class RdSublayer(Sublayer):
         if record["rtt_offset"] == offset:
             # Karn's rule applies to fast/partial-ack retransmissions
             # too: a sample spanning a retransmission is meaningless.
-            record = dict(record)
             record["rtt_offset"] = None
             self._put(conn, record)
         self.count("retransmitted")

@@ -74,7 +74,7 @@ class Rfc793Shim(ShimSublayer):
         self.state.decoded = 0
 
     def _rec(self, conn: ConnId) -> dict:
-        conns = dict(self.state.conns)
+        conns = self.state.conns
         if conn not in conns:
             conns[conn] = {
                 "local_isn": None,
@@ -98,10 +98,8 @@ class Rfc793Shim(ShimSublayer):
         self._update(conn, local_isn=local_isn, remote_isn=remote_isn)
 
     def _update(self, conn: ConnId, **changes: Any) -> None:
-        conns = dict(self.state.conns)
-        record = dict(conns[conn])
-        record.update(changes)
-        conns[conn] = record
+        conns = self.state.conns
+        conns[conn].update(changes)
         self.state.conns = conns
 
     # ==================================================================
