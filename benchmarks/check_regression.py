@@ -45,15 +45,6 @@ WATCHED: dict[str, dict[str, str]] = {
     "c8_faultcost": {
         "noop_over_plain_hop_x": "up",
     },
-    # C11: what the codegen + batch fast path buys at tier=off.
-    # batch_speedup_x: send_batch(64) through the fused push_batch over
-    # the scalar chain walk; scalar_fused_speedup_x: one send() through
-    # the fused function over the chain walk.  Both are down = regression
-    # (the hard >=5x bound lives inside the benchmark itself).
-    "c11_batch": {
-        "batch_speedup_x": "down",
-        "scalar_fused_speedup_x": "down",
-    },
     # C12: the cost of watching.  sampled001_over_untraced_x: a
     # campaign-style trial with sampled tracing at rate 0.01 over the
     # same trial untraced (the hard <=1.05 bound lives inside the
@@ -61,10 +52,6 @@ WATCHED: dict[str, dict[str, str]] = {
     # a counter inc (hard <=1.5 inside).  hist_hop_over_plain_x: a
     # metrics-tier chain with the per-traversal latency histogram over
     # the same chain without it.
-    # The batched metrics-tier ratios (batch64_over_scalar_x,
-    # batch64_hist_over_scalar_x) are reported below, not watched: their
-    # hard <=1.05 bounds live inside the benchmark and sit tighter than
-    # any tolerance band around a sub-microsecond measurement.
     "c12_obscost": {
         "sampled001_over_untraced_x": "up",
         "hist_observe_over_inc_x": "up",
@@ -91,14 +78,7 @@ REPORTED: dict[str, list[str]] = {
     "c7_hopcost": ["ns_per_hop_full", "ns_per_hop_off"],
     "c8_faultcost": ["ns_per_send_plain", "ns_per_send_noop"],
     "c10_flowscale": ["nodes", "wall_s"],
-    "c11_batch": [
-        "ns_per_unit_scalar_chain",
-        "ns_per_unit_scalar_fused",
-        "ns_per_unit_batch_fused",
-    ],
     "c12_obscost": [
-        "batch64_over_scalar_x",
-        "batch64_hist_over_scalar_x",
         "ns_per_send_untraced",
         "ns_per_send_sample001",
         "ns_per_inc",

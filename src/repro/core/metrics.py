@@ -40,13 +40,11 @@ class MetricsSink(Protocol):
         """Add one sample to the streaming-moments distribution ``name``."""
         ...
 
-    def observe_hist(self, name: str, value: float, count: int = 1) -> None:
+    def observe_hist(self, name: str, value: float) -> None:
         """Add a sample to the log-bucket histogram ``name``.
 
         Histograms answer quantile questions (p50/p90/p99/max) that
         streaming moments cannot; latency-shaped sites report here.
-        ``count > 1`` records the value ``count`` times in one call,
-        so a batched hop costs one observation, not one per element.
         """
         ...
 
@@ -65,7 +63,7 @@ class NullMetrics:
     def observe(self, name: str, value: float) -> None:
         pass
 
-    def observe_hist(self, name: str, value: float, count: int = 1) -> None:
+    def observe_hist(self, name: str, value: float) -> None:
         pass
 
     def scoped(self, prefix: str) -> "NullMetrics":
@@ -97,8 +95,8 @@ class ScopedMetrics:
     def observe(self, name: str, value: float) -> None:
         self._sink.observe(self.prefix + SEPARATOR + name, value)
 
-    def observe_hist(self, name: str, value: float, count: int = 1) -> None:
-        self._sink.observe_hist(self.prefix + SEPARATOR + name, value, count)
+    def observe_hist(self, name: str, value: float) -> None:
+        self._sink.observe_hist(self.prefix + SEPARATOR + name, value)
 
     def scoped(self, prefix: str) -> "ScopedMetrics":
         return ScopedMetrics(self._sink, self.prefix + SEPARATOR + prefix)

@@ -10,7 +10,7 @@ itself a demonstration of T3: interop is a one-sublayer concern.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 from .sublayer import Sublayer
 
@@ -39,61 +39,6 @@ class ShimSublayer(Sublayer):
         decoded = self.decode(pdu)
         if decoded is not None:
             self.deliver_up(decoded, **meta)
-
-    # -------------------------------------------------------- batch
-    def from_above_batch(
-        self, sdus: Sequence[Any], metas: Sequence[dict] | None = None
-    ) -> None:
-        """Translate the whole batch, then cross the boundary once.
-
-        ``None`` encodings drop their unit, exactly like the scalar
-        path; the surviving units keep their order (and metas).
-        """
-        encode = self.encode
-        out = []
-        out_metas: list[dict] | None = [] if metas is not None else None
-        for index, sdu in enumerate(sdus):
-            encoded = encode(sdu)
-            if encoded is None:
-                continue
-            out.append(encoded)
-            if out_metas is not None:
-                out_metas.append(metas[index])
-        if out:
-            self.send_down_batch(out, out_metas)
-
-    def from_below_batch(
-        self, pdus: Sequence[Any], metas: Sequence[dict] | None = None
-    ) -> None:
-        """Reverse-translate the batch upward.
-
-        Loops the scalar :meth:`from_below` with ``deliver_up``
-        temporarily buffered, so subclasses that expand one wire unit
-        into several native PDUs (their ``from_below`` override calling
-        ``deliver_up`` more than once) coalesce correctly too.
-        """
-        up_units: list[Any] = []
-        up_metas: list[dict] = []
-
-        def buffer_up(sdu: Any, **meta: Any) -> None:
-            up_units.append(sdu)
-            up_metas.append(meta)
-
-        real_deliver = self._deliver_up
-        self._deliver_up = buffer_up
-        try:
-            if metas is None:
-                for pdu in pdus:
-                    self.from_below(pdu)
-            else:
-                for pdu, meta in zip(pdus, metas):
-                    self.from_below(pdu, **meta)
-        finally:
-            self._deliver_up = real_deliver
-        if up_units:
-            self.deliver_up_batch(
-                up_units, up_metas if any(up_metas) else None
-            )
 
 
 class IdentityShim(ShimSublayer):

@@ -27,8 +27,7 @@ tests and the C3 tuning benchmark measurements rather than assertions.
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .clock import Clock, ManualClock
 from .errors import ConfigurationError
@@ -99,17 +98,6 @@ class Stack:
         self.lossy_delivery = lossy_delivery
         self._on_deliver: Callable[..., None] | None = None
         self._on_transmit: Callable[..., None] | None = None
-        # Optional batch-aware endpoint sinks (fn(units, metas|None)):
-        # when set, a batch crossing the last hop stays one call instead
-        # of decaying to a per-unit loop over the scalar sink.
-        self._on_deliver_batch: Callable[..., None] | None = None
-        self._on_transmit_batch: Callable[..., None] | None = None
-        # The tier=off codegen fast path (repro.core.codegen) is on by
-        # default; REPRO_CODEGEN=0 is the global kill switch and the
-        # property setter the per-stack one.  Either way the chain walk
-        # remains compiled underneath, so flipping this only swaps the
-        # plan's entry points.
-        self._codegen_enabled = os.environ.get("REPRO_CODEGEN", "1") != "0"
         # Observers of every data-path hop: fn(direction, caller, provider, sdu, meta).
         # Contract monitors and the litmus checker attach here; every
         # mutation recompiles the wiring plan.
@@ -210,51 +198,6 @@ class Stack:
     def on_deliver(self, sink: Callable[..., None] | None) -> None:
         """Attach the application delivery sink and recompile."""
         self._on_deliver = sink
-        self._recompile()
-
-    @property
-    def on_transmit_batch(self) -> Callable[..., None] | None:
-        """Batch wire sink (``fn(units, metas|None)``), if the wire has one.
-
-        Optional: without it, batch crossings of the bottom hop loop the
-        scalar :attr:`on_transmit` per unit.  A batch-aware link (see
-        :meth:`repro.sim.link.Link.send_batch`) keeps the whole batch as
-        one call end to end.
-        """
-        return self._on_transmit_batch
-
-    @on_transmit_batch.setter
-    def on_transmit_batch(self, sink: Callable[..., None] | None) -> None:
-        """Attach the batch wire sink and recompile."""
-        self._on_transmit_batch = sink
-        self._recompile()
-
-    @property
-    def on_deliver_batch(self) -> Callable[..., None] | None:
-        """Batch application sink (``fn(units, metas|None)``), optional."""
-        return self._on_deliver_batch
-
-    @on_deliver_batch.setter
-    def on_deliver_batch(self, sink: Callable[..., None] | None) -> None:
-        """Attach the batch delivery sink and recompile."""
-        self._on_deliver_batch = sink
-        self._recompile()
-
-    @property
-    def codegen_enabled(self) -> bool:
-        """Whether the tier=off fused codegen fast path may be used.
-
-        Defaults to ``True`` unless the process was started with
-        ``REPRO_CODEGEN=0``.  Fusion additionally requires tier=off, no
-        taps, no span hook, and every sublayer opting in — see
-        :mod:`repro.core.codegen`.
-        """
-        return self._codegen_enabled
-
-    @codegen_enabled.setter
-    def codegen_enabled(self, enabled: bool) -> None:
-        """Flip the codegen fast path and recompile."""
-        self._codegen_enabled = bool(enabled)
         self._recompile()
 
     def set_tier(self, tier: str) -> "Stack":
@@ -373,29 +316,6 @@ class Stack:
         """The wire hands a PDU to the bottom sublayer."""
         self._plan.wire_receive(pdu, **meta)
 
-    def send_batch(
-        self,
-        batch: Sequence[Any],
-        metas: Sequence[dict] | None = None,
-    ) -> None:
-        """Application hands an in-order batch to the top sublayer.
-
-        Semantically identical to ``for item in batch: stack.send(item)``
-        (the differential rig holds the two byte-identical) but the
-        whole batch crosses each sublayer boundary in one compiled hop,
-        amortizing per-crossing overhead.  ``metas``, when given, is a
-        parallel sequence of per-unit keyword dicts.
-        """
-        self._plan.app_send_batch(batch, metas)
-
-    def receive_batch(
-        self,
-        units: Sequence[Any],
-        metas: Sequence[dict] | None = None,
-    ) -> None:
-        """The wire hands an in-order batch to the bottom sublayer."""
-        self._plan.wire_receive_batch(units, metas)
-
     # ------------------------------------------------------------------
     def order(self) -> list[str]:
         """Sublayer names, top to bottom (the T1 ordering)."""
@@ -439,10 +359,6 @@ class Stack:
         twin.hop_latency = self._hop_latency
         twin.on_transmit = self._on_transmit
         twin.on_deliver = self._on_deliver
-        twin.on_transmit_batch = self._on_transmit_batch
-        twin.on_deliver_batch = self._on_deliver_batch
-        if twin._codegen_enabled != self._codegen_enabled:
-            twin.codegen_enabled = self._codegen_enabled
         return twin
 
     def insert(

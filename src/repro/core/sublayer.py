@@ -29,10 +29,9 @@ Subclasses override the ``on_*`` hooks; the wiring attributes
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .clock import Clock
-from .codegen import IDENTITY
 from .errors import ConfigurationError
 from .header import HeaderFormat
 from .instrument import InstrumentedState
@@ -83,8 +82,6 @@ class Sublayer:
         self.notifications: dict[str, Notification] = {}
         self._send_down: Callable[[Pdu | Any], None] | None = None
         self._deliver_up: Callable[..., None] | None = None
-        self._send_down_batch: Callable[..., None] | None = None
-        self._deliver_up_batch: Callable[..., None] | None = None
         self.stack_name: str = "?"
 
     # ------------------------------------------------------------------
@@ -112,67 +109,6 @@ class Sublayer:
         self.deliver_up(pdu, **meta)
 
     # ------------------------------------------------------------------
-    # Vector protocol
-    # ------------------------------------------------------------------
-    def from_above_batch(
-        self,
-        sdus: Sequence[Any],
-        metas: Sequence[dict] | None = None,
-    ) -> None:
-        """A batch of SDUs arriving from above, in order.
-
-        The default loops the scalar :meth:`from_above` per element, so
-        any sublayer is batch-correct for free; hot sublayers override
-        this to amortize per-unit work (and typically forward with one
-        :meth:`send_down_batch`).  ``metas``, when given, is a parallel
-        sequence of per-unit keyword dicts (``len(metas) == len(sdus)``).
-        Overrides must preserve per-unit ordering exactly — the
-        differential rig compares batch runs against scalar runs byte
-        for byte.
-        """
-        if metas is None:
-            for sdu in sdus:
-                self.from_above(sdu)
-        else:
-            for sdu, meta in zip(sdus, metas):
-                self.from_above(sdu, **meta)
-
-    def from_below_batch(
-        self,
-        pdus: Sequence[Any],
-        metas: Sequence[dict] | None = None,
-    ) -> None:
-        """A batch of PDUs arriving from below, in order.
-
-        Same contract as :meth:`from_above_batch`, upward.
-        """
-        if metas is None:
-            for pdu in pdus:
-                self.from_below(pdu)
-        else:
-            for pdu, meta in zip(pdus, metas):
-                self.from_below(pdu, **meta)
-
-    # ------------------------------------------------------------------
-    # Codegen fusion hooks
-    # ------------------------------------------------------------------
-    def fuse_down(self) -> Any:
-        """Downward fuse step for the tier=off codegen fast path.
-
-        Return ``None`` (the default) to opt out — the stack direction
-        then keeps the per-hop chain walk.  Return
-        :data:`~repro.core.codegen.IDENTITY` for pure pass-through, or
-        a ``step(sdu, meta) -> sdu | DROP`` callable that mirrors
-        :meth:`from_above` exactly (state counters, exceptions, drops).
-        See :mod:`repro.core.codegen` for the full contract.
-        """
-        return None
-
-    def fuse_up(self) -> Any:
-        """Upward fuse step mirroring :meth:`from_below`; see :meth:`fuse_down`."""
-        return None
-
-    # ------------------------------------------------------------------
     # Facilities available to subclasses
     # ------------------------------------------------------------------
     def send_down(self, sdu: Any, **meta: Any) -> None:
@@ -186,26 +122,6 @@ class Sublayer:
         if self._deliver_up is None:
             raise ConfigurationError(f"sublayer {self.name!r} is not attached")
         self._deliver_up(sdu, **meta)
-
-    def send_down_batch(
-        self,
-        sdus: Sequence[Any],
-        metas: Sequence[dict] | None = None,
-    ) -> None:
-        """Hand an in-order batch to the sublayer below in one crossing."""
-        if self._send_down_batch is None:
-            raise ConfigurationError(f"sublayer {self.name!r} is not attached")
-        self._send_down_batch(sdus, metas)
-
-    def deliver_up_batch(
-        self,
-        sdus: Sequence[Any],
-        metas: Sequence[dict] | None = None,
-    ) -> None:
-        """Hand an in-order batch to the sublayer above in one crossing."""
-        if self._deliver_up_batch is None:
-            raise ConfigurationError(f"sublayer {self.name!r} is not attached")
-        self._deliver_up_batch(sdus, metas)
 
     def wrap(self, header: dict[str, int], inner: Any) -> Pdu:
         """Build this sublayer's PDU around ``inner``."""
@@ -252,19 +168,3 @@ class PassthroughSublayer(Sublayer):
     Useful as a placement holder in litmus experiments and as the base
     for shims that only translate representations.
     """
-
-    def fuse_down(self) -> Any:
-        """Pure pass-through: eliminated from the fused fast path.
-
-        Subclasses that override :meth:`from_above` are no longer pure
-        pass-through, so the inherited fuse opts out for them.
-        """
-        if type(self).from_above is not Sublayer.from_above:
-            return None
-        return IDENTITY
-
-    def fuse_up(self) -> Any:
-        """Pure pass-through: eliminated from the fused fast path."""
-        if type(self).from_below is not Sublayer.from_below:
-            return None
-        return IDENTITY

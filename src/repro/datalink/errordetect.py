@@ -20,7 +20,7 @@ codes define themselves over octets, as on real links).
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 from ..core.bits import Bits
 from ..core.errors import ChecksumError
@@ -133,93 +133,3 @@ class ErrorDetectSublayer(Sublayer):
             self.state.detected_errors = self.state.detected_errors + 1
         # The paper's narrow interface: the frame plus an error flag.
         self.deliver_up(body, corrupt=not ok, **meta)
-
-    # -------------------------------------------------------- batch
-    def from_above_batch(
-        self, sdus: Sequence[Any], metas: Sequence[dict] | None = None
-    ) -> None:
-        """Protect the whole batch, then cross the boundary once."""
-        code = self.code
-        state = self.state
-        out = []
-        for sdu in sdus:
-            if not isinstance(sdu, Bits):
-                raise ChecksumError(
-                    f"error detection needs Bits, got {type(sdu).__name__}"
-                )
-            trailer = code.compute(sdu.to_bytes())
-            state.protected = state.protected + 1
-            out.append(sdu + Bits.from_bytes(trailer))
-        self.send_down_batch(out, metas)
-
-    def from_below_batch(
-        self, pdus: Sequence[Any], metas: Sequence[dict] | None = None
-    ) -> None:
-        """Verify the batch; each frame goes up with its ``corrupt`` flag."""
-        code = self.code
-        state = self.state
-        trailer_bits = 8 * code.trailer_bytes
-        out = []
-        out_metas: list[dict] = []
-        for index, frame in enumerate(pdus):
-            meta = dict(metas[index]) if metas is not None else {}
-            if not isinstance(frame, Bits) or len(frame) < trailer_bits or (
-                len(frame) % 8 != 0
-            ):
-                state.detected_errors = state.detected_errors + 1
-                out.append(frame if isinstance(frame, Bits) else Bits())
-                meta["corrupt"] = True
-                out_metas.append(meta)
-                continue
-            body = frame[: len(frame) - trailer_bits]
-            trailer = frame[len(frame) - trailer_bits :].to_bytes()
-            ok = code.verify(body.to_bytes(), trailer)
-            if ok:
-                state.verified = state.verified + 1
-            else:
-                state.detected_errors = state.detected_errors + 1
-            out.append(body)
-            meta["corrupt"] = not ok
-            out_metas.append(meta)
-        self.deliver_up_batch(out, out_metas)
-
-    # ------------------------------------------------------- codegen
-    def fuse_down(self) -> Any:
-        """Fuse step mirroring :meth:`from_above`."""
-        code = self.code
-        state = self.state
-
-        def step(sdu: Any, meta: dict) -> Any:
-            if not isinstance(sdu, Bits):
-                raise ChecksumError(
-                    f"error detection needs Bits, got {type(sdu).__name__}"
-                )
-            trailer = code.compute(sdu.to_bytes())
-            state.protected = state.protected + 1
-            return sdu + Bits.from_bytes(trailer)
-        return step
-
-    def fuse_up(self) -> Any:
-        """Fuse step mirroring :meth:`from_below` (writes ``corrupt``)."""
-        code = self.code
-        state = self.state
-        trailer_bits = 8 * code.trailer_bytes
-
-        def step(frame: Any, meta: dict) -> Any:
-            if not isinstance(frame, Bits) or len(frame) < trailer_bits or (
-                len(frame) % 8 != 0
-            ):
-                state.detected_errors = state.detected_errors + 1
-                meta["corrupt"] = True
-                return frame if isinstance(frame, Bits) else Bits()
-            body = frame[: len(frame) - trailer_bits]
-            trailer = frame[len(frame) - trailer_bits :].to_bytes()
-            ok = code.verify(body.to_bytes(), trailer)
-            if ok:
-                state.verified = state.verified + 1
-            else:
-                state.detected_errors = state.detected_errors + 1
-            meta["corrupt"] = not ok
-            return body
-        step.writes_meta = True
-        return step

@@ -146,11 +146,6 @@ def send_bytes(stack: Stack, payload: bytes, **meta: Any) -> None:
     stack.send(Bits.from_bytes(payload), **meta)
 
 
-def send_bytes_batch(stack: Stack, payloads: list[bytes]) -> None:
-    """Convenience: push a batch of application payloads in one call."""
-    stack.send_batch([Bits.from_bytes(payload) for payload in payloads])
-
-
 def collect_bytes(stack: Stack) -> list[bytes]:
     """Attach a byte-collecting sink to a stack; returns the live list."""
     received: list[bytes] = []

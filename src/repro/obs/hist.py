@@ -69,18 +69,10 @@ class Histogram:
     # ------------------------------------------------------------------
     # Feeding
     # ------------------------------------------------------------------
-    def observe(self, value: float, count: int = 1) -> None:
-        """Add a sample.  This is the hot path — an append, no math.
-
-        ``count > 1`` records the same value ``count`` times (one call
-        per batch instead of one per element); the single-sample path
-        stays a bare append.
-        """
+    def observe(self, value: float) -> None:
+        """Add a sample.  This is the hot path — an append, no math."""
         pending = self._pending
-        if count == 1:
-            pending.append(value)
-        else:
-            pending.extend([value] * count)
+        pending.append(value)
         if len(pending) >= _FLUSH_AT:
             self._flush()
 

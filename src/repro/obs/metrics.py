@@ -55,19 +55,14 @@ class MetricsRegistry:
             stats = self.histograms[name] = RunningStats()
         stats.add(value)
 
-    def observe_hist(self, name: str, value: float, count: int = 1) -> None:
+    def observe_hist(self, name: str, value: float) -> None:
         hist = self.hists.get(name)
         if hist is None:
             hist = self.hists[name] = Histogram()
         # Inlined Histogram.observe: the C12 budget holds this call to
         # ~1.5x a counter inc, and the observe() frame alone busts it.
-        # The scalar branch stays a bare append; batched sites
-        # (count > 1) pay one extend for the whole batch.
         pending = hist._pending
-        if count == 1:
-            pending.append(value)
-        else:
-            pending.extend([value] * count)
+        pending.append(value)
         if len(pending) >= _FLUSH_AT:
             hist._flush()
 

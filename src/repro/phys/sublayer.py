@@ -11,10 +11,9 @@ above (framing) is designed to tolerate.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 from ..core.bits import Bits
-from ..core.codegen import DROP
 from ..core.errors import FramingError
 from ..core.sublayer import Sublayer
 from .encodings import LineCode, NRZ
@@ -59,79 +58,3 @@ class EncodingSublayer(Sublayer):
             return
         self.state.decoded = self.state.decoded + 1
         self.deliver_up(data, **meta)
-
-    # -------------------------------------------------------- batch
-    def from_above_batch(
-        self, sdus: Sequence[Any], metas: Sequence[dict] | None = None
-    ) -> None:
-        """Encode the whole batch, then cross the boundary once."""
-        encode = self.code.encode
-        state = self.state
-        out = []
-        for sdu in sdus:
-            if not isinstance(sdu, Bits):
-                raise FramingError(
-                    f"encoding sublayer needs Bits, got {type(sdu).__name__}"
-                )
-            state.encoded = state.encoded + 1
-            out.append(encode(sdu))
-        self.send_down_batch(out, metas)
-
-    def from_below_batch(
-        self, pdus: Sequence[Any], metas: Sequence[dict] | None = None
-    ) -> None:
-        """Decode the batch; survivors go up together, in order."""
-        decode = self.code.decode
-        state = self.state
-        out = []
-        out_metas: list[dict] | None = [] if metas is not None else None
-        for index, symbols in enumerate(pdus):
-            if not isinstance(symbols, Bits):
-                raise FramingError(
-                    f"encoding sublayer received {type(symbols).__name__} from wire"
-                )
-            try:
-                data = decode(symbols)
-            except FramingError:
-                state.decode_errors = state.decode_errors + 1
-                continue
-            state.decoded = state.decoded + 1
-            out.append(data)
-            if out_metas is not None:
-                out_metas.append(metas[index])
-        if out:
-            self.deliver_up_batch(out, out_metas)
-
-    # ------------------------------------------------------- codegen
-    def fuse_down(self) -> Any:
-        """Fuse step mirroring :meth:`from_above`."""
-        state = self.state
-        encode = self.code.encode
-
-        def step(sdu: Any, meta: dict) -> Any:
-            if not isinstance(sdu, Bits):
-                raise FramingError(
-                    f"encoding sublayer needs Bits, got {type(sdu).__name__}"
-                )
-            state.encoded = state.encoded + 1
-            return encode(sdu)
-        return step
-
-    def fuse_up(self) -> Any:
-        """Fuse step mirroring :meth:`from_below` (decode failure drops)."""
-        state = self.state
-        decode = self.code.decode
-
-        def step(symbols: Any, meta: dict) -> Any:
-            if not isinstance(symbols, Bits):
-                raise FramingError(
-                    f"encoding sublayer received {type(symbols).__name__} from wire"
-                )
-            try:
-                data = decode(symbols)
-            except FramingError:
-                state.decode_errors = state.decode_errors + 1
-                return DROP
-            state.decoded = state.decoded + 1
-            return data
-        return step

@@ -12,7 +12,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from .batchparity import check_batch_parity
 from .config import StaticCheckConfig
 from .imports import check_import_cycles, check_layer_order, collect_imports
 from .isolation import check_foreign_header_fields, check_state_reach
@@ -47,7 +46,6 @@ def run_staticcheck(
     violations += check_foreign_header_fields(model)
     violations += check_undeclared_primitives(model)
     violations += check_interface_widths(model, config)
-    violations += check_batch_parity(model)
     rules = ALL_RULES
     flow_specs = list(flow_specs)
     if flow or flow_specs:

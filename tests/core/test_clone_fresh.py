@@ -54,7 +54,6 @@ def build_cases() -> dict[type[Sublayer], Sublayer]:
     from repro.core.sublayer import PassthroughSublayer
     from repro.datalink.arq import (
         GoBackNArq,
-        NullArq,
         SelectiveRepeatArq,
         StopAndWaitArq,
     )
@@ -128,7 +127,6 @@ def build_cases() -> dict[type[Sublayer], Sublayer]:
         IdentityShim("idshim"),
         Rfc793Shim("rfcshim"),
         CobsFramingSublayer("cobs"),
-        NullArq("null-arq"),
         StopAndWaitArq("saw", retransmit_timeout=0.55, max_retries=7),
         GoBackNArq("gbn", retransmit_timeout=0.45, max_retries=9, window=5),
         SelectiveRepeatArq("sr", retransmit_timeout=0.35, max_retries=11, window=6),

@@ -178,6 +178,11 @@ class TestRecompilation:
             lambda: stack.taps.extend([tap]),
             lambda: stack.taps.pop(),
             lambda: stack.taps.insert(0, tap),
+            lambda: stack.taps.__setitem__(0, tap),
+            lambda: stack.taps.__imul__(2),
+            lambda: stack.taps.sort(key=id),
+            lambda: stack.taps.reverse(),
+            lambda: stack.taps.__delitem__(0),
             lambda: stack.taps.clear(),
         ):
             before = plan.compilations

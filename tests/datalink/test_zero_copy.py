@@ -1,8 +1,10 @@
 """Buffer-protocol discipline through CRC, COBS, and checksums.
 
-The batched fast path hands ``memoryview`` slices down the framing and
-error-detection code; these tests pin the contract that those routines
-(1) accept any buffer-protocol object and (2) never take an
+The scalar routines behind the framing and error-detection sublayers
+take ``memoryview`` input: the COBS sublayer decodes each frame body
+as a view of the received frame, and CRC and the Internet checksum
+accept views from any caller.  These tests pin the contract that the
+routines (1) accept any buffer-protocol object and (2) never take an
 intermediate ``bytes()`` copy — every slice they make of a view is
 itself a view of the *original* buffer, which ``memoryview.obj``
 identity makes directly observable.

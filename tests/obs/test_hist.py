@@ -94,38 +94,6 @@ class TestHistogram:
         assert hist.quantile(0.5) == 0.0
 
 
-class TestWeightedObserve:
-    """observe(value, count=n): how a batched hop pays its metrics bill."""
-
-    def test_counted_equals_repeated(self):
-        weighted, repeated = Histogram(), Histogram()
-        weighted.observe(0.25, count=5)
-        weighted.observe(0.75, count=3)
-        for _ in range(5):
-            repeated.observe(0.25)
-        for _ in range(3):
-            repeated.observe(0.75)
-        assert weighted.as_dict() == repeated.as_dict()
-
-    def test_count_survives_flush_boundary(self):
-        from repro.obs.hist import _FLUSH_AT
-
-        hist = Histogram()
-        hist.observe(0.1, count=_FLUSH_AT - 1)
-        hist.observe(0.2, count=4)  # crosses the deferred-flush threshold
-        hist.observe(0.3)
-        assert hist.count == _FLUSH_AT + 4
-        assert hist.minimum == 0.1
-        assert hist.maximum == 0.3
-
-    def test_registry_forwards_count(self):
-        weighted, repeated = MetricsRegistry(), MetricsRegistry()
-        weighted.observe_hist("hop", 0.01, count=64)
-        for _ in range(64):
-            repeated.observe_hist("hop", 0.01)
-        assert weighted.snapshot() == repeated.snapshot()
-
-
 class TestRegistryHists:
     def test_observe_hist_and_query(self):
         reg = MetricsRegistry()
