@@ -14,11 +14,11 @@ three things:
   them, so injecting a fault is literally
   :meth:`~repro.core.stack.Stack.insert` /
   :meth:`~repro.compose.StackBuilder.with_fault`.
-* :mod:`repro.faults.scenarios` — a :class:`Scenario` harness that
-  composes a stack profile, a fault plan, a traffic generator, and a
-  stop condition, runs seeded trials through :mod:`repro.sim`, and
-  checks invariant monitors against the telemetry :mod:`repro.obs`
-  already collects.
+* :mod:`repro.faults.scenarios` — one :class:`Scenario` record and a
+  recipe per stack profile that fills it in: a fault plan as data, a
+  world built and driven through :mod:`repro.sim` for each seeded
+  trial, and invariant monitors checked against the telemetry
+  :mod:`repro.obs` already collects.
 * ``python -m repro.faults`` — a campaign CLI running a scenario
   matrix and emitting a JSON resilience report (nonzero exit on any
   invariant violation).

@@ -1,37 +1,44 @@
-"""Resilience scenarios: stack profile × fault plan × traffic × monitors.
+"""Resilience scenarios: one :class:`Scenario` record, one recipe per profile.
 
-A :class:`Scenario` composes four declarative pieces —
+A :class:`Scenario` is a frozen record of four pieces —
 
-* a stack profile from :mod:`repro.compose` (hdlc, wireless, tcp,
-  quic) or a routed :class:`~repro.network.topology.Topology`;
-* a *fault plan*: :class:`FaultSpec` entries naming where in the stack
-  each :class:`~repro.faults.sublayers.FaultSublayer` is inserted and
-  how to build it from a seeded rng stream;
-* a traffic generator and stop condition run through
-  :class:`repro.sim.Simulator`;
+* a ``name`` and the stack ``profile`` it exercises;
+* an ``execute(seed, observe)`` function that builds the world (stacks
+  from :mod:`repro.compose` profiles or a routed
+  :class:`~repro.network.topology.Topology`), runs the traffic through
+  :class:`repro.sim.Simulator` and returns the
+  :class:`~repro.faults.monitors.Evidence`;
 * the invariant :mod:`monitors <repro.faults.monitors>` that must hold
-  over the evidence the run leaves behind —
+  over that evidence —
 
-and runs N seeded trials.  Every random choice (fault rng, link rng,
+and the harness methods that run N seeded trials of it.  Each profile
+is a *recipe* — :func:`hdlc`, :func:`wireless`, :func:`tcp`,
+:func:`quic`, :func:`routing` — that returns a ``Scenario``; the
+fleet campaigns in :mod:`repro.topo.campaign` are one more recipe.
+
+A recipe's fault plan is data: :class:`FaultSpec` entries naming where
+in the stack each :class:`~repro.faults.sublayers.FaultSublayer` is
+inserted, its class, its :class:`~repro.faults.schedule.FaultSchedule`
+and any extra arguments.  Every random choice (fault rng, link rng,
 MAC backoff) draws from a named :class:`~repro.sim.rng.RngFactory`
 stream of the trial seed, so a trial is a pure function of
 ``(scenario, seed)`` and any red result replays exactly.
 
-The built-in scenarios put each fault *below* the sublayer whose job
-is to mask it: drop/duplicate/corrupt below ARQ (hdlc), drop between
-ARQ and MAC (wireless), drop/duplicate below RD (tcp), drop below the
-QUIC connection sublayer.  The ``arq=False`` wireless variant is the
-negative control: with recovery removed the same faults must turn the
-no-data-loss monitor red, proving the monitors bite.
+The recipes put each fault *below* the sublayer whose job is to mask
+it: drop/duplicate/corrupt below ARQ (hdlc), drop between ARQ and MAC
+(wireless), drop/duplicate below RD (tcp), drop below the QUIC
+connection sublayer.  ``wireless(arq=False)`` is the negative control:
+with recovery removed the same faults must turn the no-data-loss
+monitor red, proving the monitors bite.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..core.errors import ConfigurationError
+from ..datalink.arq import GoBackNArq
 from ..datalink.stacks import (
     build_hdlc_stack,
     build_wireless_station,
@@ -68,27 +75,51 @@ from .sublayers import CorruptBitsFault, DropFault, DuplicateFault, FaultSublaye
 #: metrics, not the litmus logs, and trials are traffic-heavy.
 SCENARIO_TIER = "metrics"
 
+#: ``observe(registry, *stacks)``: hands a trial's world to the flight
+#: recorder (a no-op when the trial is not being recorded).
+Observe = Callable[..., Any]
+
+#: Monitors for a traffic transfer between two endpoints.
+DELIVERY_MONITORS: tuple[Monitor, ...] = (
+    NoDataLossMonitor(),
+    InOrderDeliveryMonitor(),
+    NoEscapeMonitor(),
+    FaultsInjectedMonitor(),
+)
+
+#: Monitors for a routed topology that must reconverge.
+ROUTING_MONITORS: tuple[Monitor, ...] = (
+    ReconvergenceMonitor(),
+    NoEscapeMonitor(),
+)
+
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One fault position in a plan: where it goes, how to build it."""
+    """One fault in a plan: where it goes, what it is, when it fires."""
 
     slot: str
     where: str
     label: str
-    make: Callable[[random.Random], FaultSublayer]
+    fault: type[FaultSublayer]
+    schedule: FaultSchedule
+    extra: dict[str, Any] = field(default_factory=dict)
 
-    def realise(self, rng: RngFactory, endpoint: str) -> FaultSublayer:
-        """A fresh fault instance on its own named rng stream."""
-        return self.make(rng.stream(f"fault:{endpoint}:{self.label}"))
+    def realise(self, rng: RngFactory, end: Any) -> FaultSublayer:
+        """A fresh ``fault-{label}`` on the ``fault:{end}:{label}`` stream."""
+        return self.fault(
+            f"fault-{self.label}",
+            self.schedule,
+            rng.stream(f"fault:{end}:{self.label}"),
+            **self.extra,
+        )
 
 
 def _insertions(
-    plan: list[FaultSpec], rng: RngFactory, endpoint: str
+    plan: list[FaultSpec], rng: RngFactory, end: Any
 ) -> list[tuple[str, str, Any]]:
-    return [
-        (spec.slot, spec.where, spec.realise(rng, endpoint)) for spec in plan
-    ]
+    """The plan realised for one endpoint, as builder insertions."""
+    return [(spec.slot, spec.where, spec.realise(rng, end)) for spec in plan]
 
 
 # ----------------------------------------------------------------------
@@ -157,38 +188,23 @@ def run_until(
     return done()
 
 
+def _unrecorded(registry: Any, *stacks: Any) -> None:
+    """The ``observe`` of a trial no flight recorder watches."""
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """Base: N seeded trials, each checked by the invariant monitors.
+    """A named world to build and the monitors that judge it.
 
     A trial is a pure function of ``(scenario, seed)`` — every random
     choice draws from a named stream of the trial seed — so a campaign
     report is reproducible from its matrix name and seed list alone.
     """
 
-    name = "scenario"
-    profile = "?"
-
-    #: The trial's flight recorder, set by :meth:`run_trial_with_metrics`
-    #: for the duration of one :meth:`execute` (None = not recording).
-    recorder: Any = None
-
-    def monitors(self) -> list[Monitor]:
-        """The invariant monitors that judge each trial's evidence."""
-        raise NotImplementedError
-
-    def execute(self, seed: int) -> Evidence:
-        """Build the world, run the traffic, return the evidence."""
-        raise NotImplementedError
-
-    def _observe(self, registry: Any, *stacks: Any) -> None:
-        """Hand the trial's registry and stacks to the flight recorder.
-
-        Every ``execute`` calls this once its world is built; with no
-        recorder installed it is a no-op, so scenarios pay nothing in
-        the common unrecorded case.
-        """
-        if self.recorder is not None:
-            self.recorder.observe(registry, *stacks)
+    name: str
+    profile: str
+    execute: Callable[[int, Observe], Evidence]
+    monitors: tuple[Monitor, ...]
 
     def run_trial(self, seed: int) -> TrialResult:
         """Execute one seeded trial and judge it with the monitors."""
@@ -205,19 +221,17 @@ class Scenario:
         :meth:`~repro.obs.MetricsRegistry.merge_snapshot`.
 
         ``recorder`` (a :class:`~repro.obs.FlightRecorder`) rides along
-        for the trial: ``execute`` attaches it to the trial's stacks
-        and registry, and a red verdict — monitor violations, collected
-        errors, or an exception a sublayer let escape — triggers the
-        post-mortem bundle dump.  Green trials write nothing.
+        for the trial: ``execute`` hands it the trial's stacks and
+        registry through ``observe``, and a red verdict — monitor
+        violations, collected errors, or an exception a sublayer let
+        escape — triggers the post-mortem bundle dump.  Green trials
+        write nothing.
         """
-        self.recorder = recorder
-        try:
-            evidence = self.execute(seed)
-        finally:
-            self.recorder = None
+        observe = _unrecorded if recorder is None else recorder.observe
+        evidence = self.execute(seed, observe)
         violations = [
             violation
-            for monitor in self.monitors()
+            for monitor in self.monitors
             for violation in monitor.check(evidence)
         ]
         info = dict(evidence.extras.get("info", {}))
@@ -251,140 +265,187 @@ class Scenario:
             trials=[self.run_trial(seed) for seed in seeds],
         )
 
-    # ------------------------------------------------------------------
-    def _drive(
-        self,
-        sim: Simulator,
-        evidence: Evidence,
-        done: Callable[[], bool],
-        timeout: float,
-    ) -> None:
-        """Run the event loop, catching anything a sublayer lets escape."""
-        try:
-            finished = run_until(sim, done, timeout)
-        except Exception as exc:  # noqa: BLE001 — escapes ARE the finding
-            evidence.errors.append(f"{type(exc).__name__}: {exc}")
-            finished = False
-        evidence.extras.setdefault("info", {}).update(
-            {"finished": finished, "virtual_time": round(sim.now, 3)}
-        )
+
+def _drive(
+    sim: Simulator,
+    evidence: Evidence,
+    done: Callable[[], bool],
+    timeout: float,
+) -> None:
+    """Run the event loop, catching anything a sublayer lets escape."""
+    try:
+        finished = run_until(sim, done, timeout)
+    except Exception as exc:  # noqa: BLE001 — escapes ARE the finding
+        evidence.errors.append(f"{type(exc).__name__}: {exc}")
+        finished = False
+    evidence.extras.setdefault("info", {}).update(
+        {"finished": finished, "virtual_time": round(sim.now, 3)}
+    )
+
+
+def _pair(
+    name: str,
+    profile: str,
+    seed: int,
+    observe: Observe,
+    plan: list[FaultSpec],
+    make_host: Callable[[str, Simulator, MetricsRegistry, list], Any],
+    link: LinkConfig,
+) -> tuple[Simulator, Any, Any, Evidence]:
+    """Hosts ``a`` and ``b`` over one seeded duplex link, observed.
+
+    ``make_host(end, sim, registry, insertions)`` builds one end with
+    the plan realised on that end's rng streams; the link is named
+    after the profile.  Returns the simulator, both hosts and the
+    trial's evidence, holding the registry and both link directions
+    (the recipe fills in what was sent and received).
+    """
+    sim = Simulator()
+    rng = RngFactory(seed)
+    registry = MetricsRegistry()
+    a, b = (
+        make_host(end, sim, registry, _insertions(plan, rng, end))
+        for end in ("a", "b")
+    )
+    duplex = DuplexLink(
+        sim,
+        link,
+        rng_forward=rng.stream("link:fwd"),
+        rng_reverse=rng.stream("link:rev"),
+        name=profile,
+        metrics=registry,
+    )
+    duplex.attach(a, b)
+    observe(registry, a, b)
+    evidence = Evidence(
+        scenario=name,
+        seed=seed,
+        metrics=registry,
+        links=[duplex.forward, duplex.reverse],
+    )
+    return sim, a, b, evidence
+
+
+def routed_trial(
+    name: str,
+    seed: int,
+    observe: Observe,
+    edges: list[tuple[int, int]],
+    converge_timeout: float,
+    script: Callable[[Topology, Callable[[], bool], dict[str, bool]], None],
+) -> Evidence:
+    """Build and converge a link-state topology, then run ``script``.
+
+    ``script(topo, converged, observations)`` faults and repairs the
+    topology, recording named booleans for
+    :class:`~repro.faults.monitors.ReconvergenceMonitor`;
+    ``converged()`` runs one convergence phase within the timeout.
+    Routed topologies drive router stacks internally, so the recorder
+    gets only the registry, for its metric checkpoints.
+    """
+    sim = Simulator()
+    registry = MetricsRegistry()
+    observe(registry)
+    evidence = Evidence(scenario=name, seed=seed, metrics=registry)
+    observations: dict[str, bool] = {}
+    evidence.extras["convergence"] = observations
+    try:
+        topo = Topology.build(sim, edges, routing_cls=LinkState, seed=seed)
+        topo.start()
+
+        def converged() -> bool:
+            """One convergence phase; True if it finished in time."""
+            return topo.converge(timeout=converge_timeout) is not None
+
+        observations["initial-convergence"] = converged()
+        script(topo, converged, observations)
+    except Exception as exc:  # noqa: BLE001 — escapes ARE the finding
+        evidence.errors.append(f"{type(exc).__name__}: {exc}")
+    evidence.extras.setdefault("info", {})["virtual_time"] = round(sim.now, 3)
+    return evidence
+
+
+def delivers(topo: Topology, src: int, dst: int, payload: bytes) -> bool:
+    """Send one data packet, run two virtual seconds, report delivery."""
+    delivered_before = len(topo.delivered)
+    topo.send_data(src, dst, payload)
+    topo.sim.run(until=topo.sim.now + 2)
+    return len(topo.delivered) > delivered_before
 
 
 # ----------------------------------------------------------------------
 # HDLC: drop + duplicate + corruption below the ARQ sublayer
 # ----------------------------------------------------------------------
-class HdlcScenario(Scenario):
+def hdlc(
+    messages: int = 12,
+    drop: float = 0.15,
+    duplicate: float = 0.1,
+    corrupt: float = 0.1,
+    timeout: float = 240.0,
+) -> Scenario:
     """Point-to-point HDLC under drop, duplication, and bit corruption."""
-
+    plan = [
+        FaultSpec(
+            "arq", "after", "drop", DropFault,
+            FaultSchedule.with_probability(drop),
+        ),
+        FaultSpec(
+            "arq", "after", "dup", DuplicateFault,
+            FaultSchedule.with_probability(duplicate),
+        ),
+        # Below the CRC: flipped bits must be detected there and
+        # recovered above, exactly like line noise.
+        FaultSpec(
+            "errordetect", "after", "corrupt", CorruptBitsFault,
+            FaultSchedule.with_probability(corrupt), {"flips": 3},
+        ),
+    ]
     name = "hdlc-drop-dup-corrupt"
-    profile = "hdlc"
 
-    def __init__(
-        self,
-        messages: int = 12,
-        drop: float = 0.15,
-        duplicate: float = 0.1,
-        corrupt: float = 0.1,
-        timeout: float = 240.0,
-    ):
-        """Configure traffic volume, fault probabilities, and timeout."""
-        self.messages = messages
-        self.drop = drop
-        self.duplicate = duplicate
-        self.corrupt = corrupt
-        self.timeout = timeout
-
-    def plan(self) -> list[FaultSpec]:
-        """Drop + duplicate below ARQ, corruption below the CRC."""
-        return [
-            FaultSpec(
-                "arq", "after", "drop",
-                lambda rng: DropFault(
-                    "fault-drop",
-                    FaultSchedule.with_probability(self.drop),
-                    rng,
-                ),
-            ),
-            FaultSpec(
-                "arq", "after", "dup",
-                lambda rng: DuplicateFault(
-                    "fault-dup",
-                    FaultSchedule.with_probability(self.duplicate),
-                    rng,
-                ),
-            ),
-            # Below the CRC: flipped bits must be detected there and
-            # recovered above, exactly like line noise.
-            FaultSpec(
-                "errordetect", "after", "corrupt",
-                lambda rng: CorruptBitsFault(
-                    "fault-corrupt",
-                    FaultSchedule.with_probability(self.corrupt),
-                    rng,
-                    flips=3,
-                ),
-            ),
-        ]
-
-    def monitors(self) -> list[Monitor]:
-        """Loss, ordering, escape, injection, and corruption-visibility."""
-        return [
-            NoDataLossMonitor(),
-            InOrderDeliveryMonitor(),
-            NoEscapeMonitor(),
-            FaultsInjectedMonitor(),
-            LinkCorruptionVisibleMonitor(),
-        ]
-
-    def execute(self, seed: int) -> Evidence:
+    def execute(seed: int, observe: Observe) -> Evidence:
         """Two HDLC stacks over a noisy duplex link; a sends, b collects."""
-        sim = Simulator()
-        rng = RngFactory(seed)
-        registry = MetricsRegistry()
-        plan = self.plan()
-        stacks = [
-            build_hdlc_stack(
+        sim, a, b, evidence = _pair(
+            name,
+            "hdlc",
+            seed,
+            observe,
+            plan,
+            lambda end, sim, registry, inserted: build_hdlc_stack(
                 f"dl-{end}",
                 sim.clock(),
                 retransmit_timeout=0.1,
                 tier=SCENARIO_TIER,
-                insertions=_insertions(plan, rng, end),
+                insertions=inserted,
                 metrics=registry,
-            )
-            for end in ("a", "b")
-        ]
-        duplex = DuplexLink(
-            sim,
+            ),
             LinkConfig(delay=0.01, bit_error_rate=0.0005),
-            rng_forward=rng.stream("link:fwd"),
-            rng_reverse=rng.stream("link:rev"),
-            name="hdlc",
-            metrics=registry,
         )
-        duplex.attach(stacks[0], stacks[1])
-        self._observe(registry, *stacks)
-        inbox = collect_bytes(stacks[1])
-        messages = [f"frame-{seed}-{i}".encode() for i in range(self.messages)]
-        for message in messages:
-            send_bytes(stacks[0], message)
-        evidence = Evidence(
-            scenario=self.name,
-            seed=seed,
-            metrics=registry,
-            sent={"a->b": messages},
-            received={"a->b": inbox},
-            links=[duplex.forward, duplex.reverse],
-        )
-        self._drive(
-            sim, evidence, lambda: len(inbox) >= len(messages), self.timeout
-        )
+        inbox = collect_bytes(b)
+        sent = [f"frame-{seed}-{i}".encode() for i in range(messages)]
+        for message in sent:
+            send_bytes(a, message)
+        evidence.sent["a->b"] = sent
+        evidence.received["a->b"] = inbox
+        _drive(sim, evidence, lambda: len(inbox) >= len(sent), timeout)
         return evidence
+
+    return Scenario(
+        name,
+        "hdlc",
+        execute,
+        DELIVERY_MONITORS + (LinkCorruptionVisibleMonitor(),),
+    )
 
 
 # ----------------------------------------------------------------------
 # Wireless: ARQ inserted above the MAC, drop fault between them
 # ----------------------------------------------------------------------
-class WirelessScenario(Scenario):
+def wireless(
+    messages: int = 10,
+    drop: float = 0.25,
+    arq: bool = True,
+    timeout: float = 120.0,
+) -> Scenario:
     """Broadcast stations with a drop fault between recovery and MAC.
 
     The wireless profile ships without error recovery; this scenario
@@ -393,36 +454,16 @@ class WirelessScenario(Scenario):
     holds.  ``arq=False`` removes only the recovery sublayer and is
     the campaign's negative control: the monitors must turn red.
     """
+    plan = [
+        FaultSpec(
+            "mac", "before", "drop", DropFault,
+            FaultSchedule.with_probability(drop),
+        ),
+    ]
+    name = "wireless-drop-arq" if arq else "wireless-drop-noarq"
 
-    profile = "wireless"
-
-    def __init__(
-        self,
-        messages: int = 10,
-        drop: float = 0.25,
-        arq: bool = True,
-        timeout: float = 120.0,
-    ):
-        """Configure traffic, drop probability, and the ARQ control."""
-        self.messages = messages
-        self.drop = drop
-        self.arq = arq
-        self.timeout = timeout
-        self.name = "wireless-drop-arq" if arq else "wireless-drop-noarq"
-
-    def monitors(self) -> list[Monitor]:
-        """Loss, ordering, escape, and injection-evidence monitors."""
-        return [
-            NoDataLossMonitor(),
-            InOrderDeliveryMonitor(),
-            NoEscapeMonitor(),
-            FaultsInjectedMonitor(),
-        ]
-
-    def execute(self, seed: int) -> Evidence:
+    def execute(seed: int, observe: Observe) -> Evidence:
         """Two stations on a broadcast medium; 0 sends, 1 collects."""
-        from ..datalink.arq import GoBackNArq
-
         sim = Simulator()
         rng = RngFactory(seed)
         registry = MetricsRegistry()
@@ -430,149 +471,92 @@ class WirelessScenario(Scenario):
 
         def station(address: int) -> Any:
             """One station stack with the ARQ/fault insertions applied."""
-            insertions: list[tuple[str, str, Any]] = []
-            if self.arq:
-                insertions.append(
-                    (
-                        "mac",
-                        "before",
-                        GoBackNArq(
-                            "recovery",
-                            retransmit_timeout=0.12,
-                            max_retries=40,
-                            window=4,
-                        ),
-                    )
+            inserted = _insertions(plan, rng, address)
+            if arq:
+                recovery = GoBackNArq(
+                    "recovery", retransmit_timeout=0.12, max_retries=40, window=4
                 )
-            insertions.append(
-                (
-                    "mac",
-                    "before",
-                    DropFault(
-                        "fault-drop",
-                        FaultSchedule.with_probability(self.drop),
-                        rng.stream(f"fault:{address}:drop"),
-                    ),
-                )
-            )
+                inserted.insert(0, ("mac", "before", recovery))
             return build_wireless_station(
                 sim,
                 medium,
                 address=address,
                 rng=rng.stream(f"mac:{address}"),
                 tier=SCENARIO_TIER,
-                insertions=insertions,
+                insertions=inserted,
                 metrics=registry,
             )
 
         stacks = [station(0), station(1)]
-        self._observe(registry, *stacks)
+        observe(registry, *stacks)
         inbox = collect_bytes(stacks[1])
         collect_bytes(stacks[0])  # sink station 0's deliveries too
-        messages = [f"wl-{seed}-{i}".encode() for i in range(self.messages)]
-        for message in messages:
+        sent = [f"wl-{seed}-{i}".encode() for i in range(messages)]
+        for message in sent:
             send_bytes(stacks[0], message)
         evidence = Evidence(
-            scenario=self.name,
+            scenario=name,
             seed=seed,
             metrics=registry,
-            sent={"0->1": messages},
+            sent={"0->1": sent},
             received={"0->1": inbox},
         )
-        self._drive(
-            sim, evidence, lambda: len(inbox) >= len(messages), self.timeout
-        )
+        _drive(sim, evidence, lambda: len(inbox) >= len(sent), timeout)
         return evidence
+
+    return Scenario(name, "wireless", execute, DELIVERY_MONITORS)
 
 
 # ----------------------------------------------------------------------
 # TCP: drop + duplicate between RD and CM
 # ----------------------------------------------------------------------
-class TcpScenario(Scenario):
+def tcp(
+    nbytes: int = 20_000,
+    drop: float = 0.08,
+    duplicate: float = 0.05,
+    timeout: float = 300.0,
+) -> Scenario:
     """Sublayered TCP transferring a byte stream under drop + duplication."""
-
+    # Below RD (whose job is reliable delivery), above CM: data
+    # segments and acks take the faults, the connection handshake
+    # (CM's own segments) does not — the invariant under test is
+    # RD's, not CM's.
+    plan = [
+        FaultSpec(
+            "rd", "after", "drop", DropFault,
+            FaultSchedule.with_probability(drop),
+        ),
+        FaultSpec(
+            "rd", "after", "dup", DuplicateFault,
+            FaultSchedule.with_probability(duplicate),
+        ),
+    ]
     name = "tcp-drop-dup"
-    profile = "tcp"
 
-    def __init__(
-        self,
-        nbytes: int = 20_000,
-        drop: float = 0.08,
-        duplicate: float = 0.05,
-        timeout: float = 300.0,
-    ):
-        """Configure transfer size, fault probabilities, and timeout."""
-        self.nbytes = nbytes
-        self.drop = drop
-        self.duplicate = duplicate
-        self.timeout = timeout
-
-    def plan(self) -> list[FaultSpec]:
-        """Drop + duplicate between RD and CM (data path, not handshake)."""
-        # Below RD (whose job is reliable delivery), above CM: data
-        # segments and acks take the faults, the connection handshake
-        # (CM's own segments) does not — the invariant under test is
-        # RD's, not CM's.
-        return [
-            FaultSpec(
-                "rd", "after", "drop",
-                lambda rng: DropFault(
-                    "fault-drop",
-                    FaultSchedule.with_probability(self.drop),
-                    rng,
-                ),
-            ),
-            FaultSpec(
-                "rd", "after", "dup",
-                lambda rng: DuplicateFault(
-                    "fault-dup",
-                    FaultSchedule.with_probability(self.duplicate),
-                    rng,
-                ),
-            ),
-        ]
-
-    def monitors(self) -> list[Monitor]:
-        """Loss, ordering, escape, and injection-evidence monitors."""
-        return [
-            NoDataLossMonitor(),
-            InOrderDeliveryMonitor(),
-            NoEscapeMonitor(),
-            FaultsInjectedMonitor(),
-        ]
-
-    def execute(self, seed: int) -> Evidence:
+    def execute(seed: int, observe: Observe) -> Evidence:
         """One TCP transfer a->b over a faulty link; evidence is the bytes."""
-        sim = Simulator()
-        rng = RngFactory(seed)
-        registry = MetricsRegistry()
-        plan = self.plan()
         config = TcpConfig(mss=1000)
-        hosts = {
-            end: SublayeredTcpHost(
+        sim, a, b, evidence = _pair(
+            name,
+            "tcp",
+            seed,
+            observe,
+            plan,
+            lambda end, sim, registry, inserted: SublayeredTcpHost(
                 end,
                 sim.clock(),
                 config,
                 metrics=registry,
                 tier=SCENARIO_TIER,
-                insertions=_insertions(plan, rng, end),
-            )
-            for end in ("a", "b")
-        }
-        duplex = DuplexLink(
-            sim,
+                insertions=inserted,
+            ),
             LinkConfig(delay=0.02, rate_bps=8_000_000),
-            rng_forward=rng.stream("link:fwd"),
-            rng_reverse=rng.stream("link:rev"),
-            name="tcp",
-            metrics=registry,
         )
-        duplex.attach(hosts["a"], hosts["b"])
-        self._observe(registry, hosts["a"], hosts["b"])
-
-        hosts["b"].listen(80)
-        data = bytes((seed + i) % 251 for i in range(self.nbytes))
-        received: dict[str, bytes] = {"a->b": b""}
+        b.listen(80)
+        data = bytes((seed + i) % 251 for i in range(nbytes))
+        evidence.sent["a->b"] = data
+        received = evidence.received
+        received["a->b"] = b""
 
         def accept(peer_sock: Any) -> None:
             """Track the receiver-side byte stream as it grows."""
@@ -580,140 +564,89 @@ class TcpScenario(Scenario):
                 "a->b", peer_sock.bytes_received()
             )
 
-        hosts["b"].on_accept = accept
-        sock = hosts["a"].connect(12345, 80)
+        b.on_accept = accept
+        sock = a.connect(12345, 80)
         sock.on_connect = lambda: (sock.send(data), sock.close())
-
-        evidence = Evidence(
-            scenario=self.name,
-            seed=seed,
-            metrics=registry,
-            sent={"a->b": data},
-            received=received,
-            links=[duplex.forward, duplex.reverse],
-        )
-        self._drive(
-            sim,
-            evidence,
-            lambda: len(received["a->b"]) >= len(data),
-            self.timeout,
-        )
+        _drive(sim, evidence, lambda: len(received["a->b"]) >= len(data), timeout)
         return evidence
+
+    return Scenario(name, "tcp", execute, DELIVERY_MONITORS)
 
 
 # ----------------------------------------------------------------------
 # QUIC: drop below the record sublayer (loss recovery lives above)
 # ----------------------------------------------------------------------
-class QuicScenario(Scenario):
+def quic(
+    nbytes: int = 15_000,
+    streams: int = 2,
+    drop: float = 0.1,
+    timeout: float = 300.0,
+) -> Scenario:
     """QUIC streams transferring under packet drop below the record layer."""
-
+    # Below record = every encrypted packet.  start_unit=2 lets the
+    # first handshake flight through so trials measure steady-state
+    # loss recovery, not handshake-retry luck.
+    plan = [
+        FaultSpec(
+            "record", "after", "drop", DropFault,
+            FaultSchedule(probability=drop, start_unit=2),
+        ),
+    ]
     name = "quic-drop"
-    profile = "quic"
 
-    def __init__(
-        self,
-        nbytes: int = 15_000,
-        streams: int = 2,
-        drop: float = 0.1,
-        timeout: float = 300.0,
-    ):
-        """Configure per-stream size, stream count, drop rate, timeout."""
-        self.nbytes = nbytes
-        self.streams = streams
-        self.drop = drop
-        self.timeout = timeout
-
-    def plan(self) -> list[FaultSpec]:
-        """Drop every encrypted packet with probability ``drop``."""
-        # Below record = every encrypted packet.  start_unit=2 lets the
-        # first handshake flight through so trials measure steady-state
-        # loss recovery, not handshake-retry luck.
-        return [
-            FaultSpec(
-                "record", "after", "drop",
-                lambda rng: DropFault(
-                    "fault-drop",
-                    FaultSchedule(probability=self.drop, start_unit=2),
-                    rng,
-                ),
-            ),
-        ]
-
-    def monitors(self) -> list[Monitor]:
-        """Loss, ordering, escape, and injection-evidence monitors."""
-        return [
-            NoDataLossMonitor(),
-            InOrderDeliveryMonitor(),
-            NoEscapeMonitor(),
-            FaultsInjectedMonitor(),
-        ]
-
-    def execute(self, seed: int) -> Evidence:
+    def execute(seed: int, observe: Observe) -> Evidence:
         """A multi-stream QUIC transfer a->b over a lossy link."""
-        sim = Simulator()
-        rng = RngFactory(seed)
-        registry = MetricsRegistry()
-        plan = self.plan()
-        hosts = {
-            end: QuicHost(
+        sim, a, b, evidence = _pair(
+            name,
+            "quic",
+            seed,
+            observe,
+            plan,
+            lambda end, sim, registry, inserted: QuicHost(
                 end,
                 sim.clock(),
                 metrics=registry,
                 tier=SCENARIO_TIER,
-                insertions=_insertions(plan, rng, end),
-            )
-            for end in ("a", "b")
-        }
-        duplex = DuplexLink(
-            sim,
+                insertions=inserted,
+            ),
             LinkConfig(delay=0.02, rate_bps=8_000_000),
-            rng_forward=rng.stream("link:fwd"),
-            rng_reverse=rng.stream("link:rev"),
-            name="quic",
-            metrics=registry,
         )
-        duplex.attach(hosts["a"], hosts["b"])
-        self._observe(registry, hosts["a"], hosts["b"])
-
-        hosts["b"].listen(443)
+        b.listen(443)
         payloads = {
-            sid: bytes((seed + sid + i) % 251 for i in range(self.nbytes))
-            for sid in range(1, self.streams + 1)
+            sid: bytes((seed + sid + i) % 251 for i in range(nbytes))
+            for sid in range(1, streams + 1)
         }
-        conn = hosts["a"].connect(5000, 443)
+        conn = a.connect(5000, 443)
         conn.on_connect = lambda: [
             conn.send(sid, data, fin=True) for sid, data in payloads.items()
         ]
 
         def done() -> bool:
             """All stream payloads fully received on the b side."""
-            peer = hosts["b"].connection_for(443, 5000)
+            peer = b.connection_for(443, 5000)
             return peer is not None and all(
                 len(peer.stream_bytes(sid)) >= len(data)
                 for sid, data in payloads.items()
             )
 
-        evidence = Evidence(
-            scenario=self.name,
-            seed=seed,
-            metrics=registry,
-            sent={f"stream-{sid}": data for sid, data in payloads.items()},
-            received={},
-            links=[duplex.forward, duplex.reverse],
+        evidence.sent.update(
+            (f"stream-{sid}", data) for sid, data in payloads.items()
         )
-        self._drive(sim, evidence, done, self.timeout)
-        peer = hosts["b"].connection_for(443, 5000)
+        _drive(sim, evidence, done, timeout)
+        peer = b.connection_for(443, 5000)
         for sid in payloads:
             evidence.received[f"stream-{sid}"] = (
                 peer.stream_bytes(sid) if peer is not None else b""
             )
         return evidence
 
+    return Scenario(name, "quic", execute, DELIVERY_MONITORS)
+
 
 # ----------------------------------------------------------------------
 # Routing: link blackhole window, reconvergence required
 # ----------------------------------------------------------------------
-class RoutingScenario(Scenario):
+def routing(converge_timeout: float = 30.0) -> Scenario:
     """A diamond topology rides out a link blackhole window.
 
     The failed link is the blackhole; the invariant is Zave's "remaining
@@ -721,73 +654,39 @@ class RoutingScenario(Scenario):
     routes after both the failure and the repair, and data must flow
     again each time.
     """
-
     name = "routing-blackhole"
-    profile = "routing"
 
-    EDGES = [(1, 2), (2, 4), (1, 3), (3, 4)]
-
-    def __init__(self, converge_timeout: float = 30.0):
-        """Configure the per-phase convergence timeout."""
-        self.converge_timeout = converge_timeout
-
-    def monitors(self) -> list[Monitor]:
-        """Reconvergence observations plus the no-escape check."""
-        return [ReconvergenceMonitor(), NoEscapeMonitor()]
-
-    def execute(self, seed: int) -> Evidence:
-        """Fail and repair a diamond-topology link, recording convergence."""
-        sim = Simulator()
-        registry = MetricsRegistry()
-        # Routed topologies drive router stacks internally; the
-        # recorder still gets the registry for its metric checkpoints.
-        self._observe(registry)
-        evidence = Evidence(
-            scenario=self.name, seed=seed, metrics=registry
+    def script(
+        topo: Topology,
+        converged: Callable[[], bool],
+        observations: dict[str, bool],
+    ) -> None:
+        """Fail and repair link 1-2, recording convergence and delivery."""
+        observations["delivery-before-blackhole"] = delivers(
+            topo, 1, 4, b"before"
         )
-        observations: dict[str, bool] = {}
-        evidence.extras["convergence"] = observations
-        try:
-            topo = Topology.build(
-                sim, self.EDGES, routing_cls=LinkState, seed=seed
-            )
-            topo.start()
-            observations["initial-convergence"] = (
-                topo.converge(timeout=self.converge_timeout) is not None
-            )
-            topo.send_data(1, 4, b"before")
-            sim.run(until=sim.now + 2)
-            observations["delivery-before-blackhole"] = any(
-                (p.src, p.dst) == (1, 4) for p in topo.delivered
-            )
-
-            topo.fail_link(1, 2)
-            observations["reconvergence-after-blackhole"] = (
-                topo.converge(timeout=self.converge_timeout) is not None
-            )
-            observations["routes-correct-after-blackhole"] = all(
-                topo.routes_correct(source) for source in topo.routers
-            )
-            delivered_before = len(topo.delivered)
-            topo.send_data(1, 4, b"during")
-            sim.run(until=sim.now + 2)
-            observations["delivery-after-blackhole"] = (
-                len(topo.delivered) > delivered_before
-            )
-
-            topo.restore_link(1, 2)
-            observations["reconvergence-after-repair"] = (
-                topo.converge(timeout=self.converge_timeout) is not None
-            )
-            observations["routes-correct-after-repair"] = all(
-                topo.routes_correct(source) for source in topo.routers
-            )
-        except Exception as exc:  # noqa: BLE001 — escapes ARE the finding
-            evidence.errors.append(f"{type(exc).__name__}: {exc}")
-        evidence.extras.setdefault("info", {})["virtual_time"] = round(
-            sim.now, 3
+        topo.fail_link(1, 2)
+        observations["reconvergence-after-blackhole"] = converged()
+        observations["routes-correct-after-blackhole"] = all(
+            topo.routes_correct(source) for source in topo.routers
         )
-        return evidence
+        observations["delivery-after-blackhole"] = delivers(
+            topo, 1, 4, b"during"
+        )
+        topo.restore_link(1, 2)
+        observations["reconvergence-after-repair"] = converged()
+        observations["routes-correct-after-repair"] = all(
+            topo.routes_correct(source) for source in topo.routers
+        )
+
+    def execute(seed: int, observe: Observe) -> Evidence:
+        """Run the blackhole script over the diamond's four links."""
+        edges = [(1, 2), (2, 4), (1, 3), (3, 4)]
+        return routed_trial(
+            name, seed, observe, edges, converge_timeout, script
+        )
+
+    return Scenario(name, "routing", execute, ROUTING_MONITORS)
 
 
 # ----------------------------------------------------------------------
@@ -795,23 +694,17 @@ class RoutingScenario(Scenario):
 # ----------------------------------------------------------------------
 def default_matrix() -> list[Scenario]:
     """The full campaign: every profile, its characteristic faults."""
-    return [
-        HdlcScenario(),
-        WirelessScenario(),
-        TcpScenario(),
-        QuicScenario(),
-        RoutingScenario(),
-    ]
+    return [hdlc(), wireless(), tcp(), quic(), routing()]
 
 
 def smoke_matrix() -> list[Scenario]:
     """Reduced traffic for CI smoke runs: same shapes, less volume."""
     return [
-        HdlcScenario(messages=6, timeout=120.0),
-        WirelessScenario(messages=6, timeout=90.0),
-        TcpScenario(nbytes=6_000, timeout=180.0),
-        QuicScenario(nbytes=5_000, streams=1, timeout=180.0),
-        RoutingScenario(),
+        hdlc(messages=6, timeout=120.0),
+        wireless(messages=6, timeout=90.0),
+        tcp(nbytes=6_000, timeout=180.0),
+        quic(nbytes=5_000, streams=1, timeout=180.0),
+        routing(),
     ]
 
 
@@ -823,9 +716,7 @@ def negative_matrix() -> list[Scenario]:
     hostile enough that every early seed actually loses data, so the
     red comes from the loss monitors rather than the injection-evidence
     backstop."""
-    return [
-        WirelessScenario(messages=8, drop=0.4, arq=False, timeout=90.0),
-    ]
+    return [wireless(messages=8, drop=0.4, arq=False, timeout=90.0)]
 
 
 MATRICES: dict[str, Callable[[], list[Scenario]]] = {

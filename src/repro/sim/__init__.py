@@ -3,20 +3,20 @@
 Provides the engine (:class:`Simulator`), impaired point-to-point links
 (:class:`Link`, :class:`DuplexLink`), a shared broadcast medium with
 collisions (:class:`BroadcastMedium`), deterministic random streams
-(:class:`RngFactory`), event traces (:class:`Trace`), and statistics
-helpers.  Every experiment in this repository runs on this substrate.
+(:class:`RngFactory`), event traces (:class:`Trace`), and streaming
+statistics (:class:`RunningStats`).  Every experiment in this
+repository runs on this substrate.
 """
 
 from .engine import SimClock, Simulator
 from .link import DEFAULT_UNIT_BITS, DuplexLink, Link, LinkConfig, LinkStats, unit_size_bits
 from .medium import BroadcastMedium, MediumStats, StationPort, Transmission
 from .rng import RngFactory, derive_seed
-from .stats import Counter, RunningStats, ThroughputMeter
+from .stats import RunningStats
 from .trace import Trace, TraceEvent
 
 __all__ = [
     "BroadcastMedium",
-    "Counter",
     "DEFAULT_UNIT_BITS",
     "DuplexLink",
     "Link",
@@ -28,7 +28,6 @@ __all__ = [
     "SimClock",
     "Simulator",
     "StationPort",
-    "ThroughputMeter",
     "Trace",
     "TraceEvent",
     "Transmission",

@@ -1,22 +1,8 @@
-"""Small statistics helpers used by benchmarks and examples."""
+"""Streaming statistics: the Welford mean/variance accumulator."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from ..core.errors import SimulationError
-
-
-@dataclass
-class Counter:
-    """A named monotonic counter."""
-
-    name: str
-    value: int = 0
-
-    def increment(self, by: int = 1) -> None:
-        self.value += by
 
 
 class RunningStats:
@@ -100,39 +86,3 @@ class RunningStats:
             stats.minimum = float(data["min"])
             stats.maximum = float(data["max"])
         return stats
-
-
-@dataclass
-class ThroughputMeter:
-    """Bytes delivered over a window of virtual time."""
-
-    bytes_delivered: int = 0
-    first_time: float | None = None
-    last_time: float | None = None
-
-    def record(self, nbytes: int, time: float) -> None:
-        self.bytes_delivered += nbytes
-        if self.first_time is None:
-            self.first_time = time
-        self.last_time = time
-
-    @property
-    def duration(self) -> float:
-        if self.first_time is None or self.last_time is None:
-            return 0.0
-        return self.last_time - self.first_time
-
-    def throughput_bps(self, end_time: float | None = None) -> float:
-        """Bits per second from first delivery to ``end_time`` (or last)."""
-        if self.first_time is None:
-            return 0.0
-        end = end_time if end_time is not None else self.last_time
-        if end is None:
-            raise SimulationError(
-                "throughput meter has a first delivery but no last: "
-                "meter state is corrupt"
-            )
-        span = end - self.first_time
-        if span <= 0:
-            return 0.0
-        return 8.0 * self.bytes_delivered / span

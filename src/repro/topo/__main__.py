@@ -134,6 +134,8 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    if args.command == "campaign" and args.seeds < 1:
+        camp_p.error("--seeds must be >= 1")
     try:
         if args.command == "run":
             return _cmd_run(args)

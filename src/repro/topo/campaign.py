@@ -1,172 +1,111 @@
 """Fleet-wide fault campaigns: link cuts and partitions at scale.
 
-These scenarios plug generated fleet topologies into the
-:mod:`repro.faults` campaign machinery — the dependency arrow points
-downward (topo imports faults, never the reverse).  Each trial builds
-the declared graph as a :class:`~repro.network.topology.Topology`
-(routers joined by impairable :class:`ManagedLink`\\ s), runs LSP
-flooding to convergence, injects the fleet-scale fault — a backbone
-link cut, or a multi-link partition that splits the graph — and
-demands reconvergence plus post-repair delivery, judged by the same
-:class:`~repro.faults.monitors.ReconvergenceMonitor` the host-pair
-scenarios use.
+:func:`fleet_scenario` is one more recipe on the :mod:`repro.faults`
+harness — the dependency arrow points downward (topo imports faults,
+never the reverse).  Each trial builds the declared graph as a
+:class:`~repro.network.topology.Topology` (routers joined by
+impairable :class:`ManagedLink`\\ s), runs LSP flooding to
+convergence, cuts the given edges — a backbone link, or every edge
+across a partition — and demands reconvergence plus post-repair
+delivery, judged by the same routing monitors as the host-pair
+scenarios.
+
+The partition is a BFS half of the graph (:func:`assign_regions` with
+two parts), computed from the edges alone; nothing here reads
+:attr:`FleetSpec.regions`.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from ..faults.monitors import (
-    Evidence,
-    Monitor,
-    NoEscapeMonitor,
-    ReconvergenceMonitor,
+from ..faults.monitors import Evidence
+from ..faults.scenarios import (
+    ROUTING_MONITORS,
+    Observe,
+    Scenario,
+    delivers,
+    routed_trial,
 )
-from ..faults.scenarios import Scenario
-from ..network import LinkState, Topology
-from ..obs import MetricsRegistry
-from ..sim import Simulator
-from .spec import FleetSpec, adjacency, make_spec
+from ..network import Topology
+from .spec import FleetSpec, adjacency, assign_regions, make_spec
 
 
-class FleetScenario(Scenario):
-    """Base for fleet trials: build the spec's graph, converge, fault it."""
+def fleet_scenario(
+    name: str,
+    spec: FleetSpec,
+    cut: list[tuple[int, int]],
+    converge_timeout: float = 60.0,
+) -> Scenario:
+    """Converge ``spec``'s graph, cut ``cut``, reconverge, repair.
 
-    profile = "fleet"
+    While cut, "correct routes" means *no* routes across a gap the cut
+    opens (the oracle only credits reachable destinations); after
+    repair the full mesh must converge again and deliver across the
+    healed cut.  The probe pair is the first cut edge's endpoints.
+    """
+    src, dst = cut[0]
 
-    def __init__(self, spec: FleetSpec, converge_timeout: float = 60.0):
-        """Run over ``spec``'s graph with a per-phase convergence budget."""
-        self.spec = spec
-        self.converge_timeout = converge_timeout
+    def script(
+        topo: Topology,
+        converged: Callable[[], bool],
+        observations: dict[str, bool],
+    ) -> None:
+        """Deliver, cut, reconverge, restore, reconverge, deliver."""
+        observations["delivery-before-fault"] = delivers(
+            topo, src, dst, b"before"
+        )
+        for a, b in cut:
+            topo.fail_link(a, b)
+        observations["reconvergence-after-fault"] = converged()
+        observations["routes-correct-after-fault"] = all(
+            topo.routes_correct(source) for source in topo.routers
+        )
+        for a, b in cut:
+            topo.restore_link(a, b)
+        observations["reconvergence-after-repair"] = converged()
+        observations["delivery-after-repair"] = delivers(
+            topo, src, dst, b"after"
+        )
 
-    def monitors(self) -> list[Monitor]:
-        """Reconvergence observations plus the no-escape check."""
-        return [ReconvergenceMonitor(), NoEscapeMonitor()]
-
-    def cut_edges(self) -> list[tuple[int, int]]:
-        """The edges this scenario fails mid-trial."""
-        raise NotImplementedError
-
-    def probe(self) -> tuple[int, int]:
-        """A (src, dst) pair expected to span the faulted part."""
-        a, b = self.cut_edges()[0]
-        return a, b
-
-    def execute(self, seed: int) -> Evidence:
-        """Converge, cut, demand reconvergence, repair, demand it again."""
-        sim = Simulator()
-        registry = MetricsRegistry()
-        self._observe(registry)
-        evidence = Evidence(scenario=self.name, seed=seed, metrics=registry)
-        observations: dict[str, bool] = {}
-        evidence.extras["convergence"] = observations
-        try:
-            topo = Topology.build(
-                sim,
-                list(self.spec.edges),
-                routing_cls=LinkState,
-                seed=seed,
-            )
-            topo.start()
-            observations["initial-convergence"] = (
-                topo.converge(timeout=self.converge_timeout) is not None
-            )
-            src, dst = self.probe()
-            topo.send_data(src, dst, b"before")
-            sim.run(until=sim.now + 2)
-            observations["delivery-before-fault"] = any(
-                (p.src, p.dst) == (src, dst) for p in topo.delivered
-            )
-
-            for a, b in self.cut_edges():
-                topo.fail_link(a, b)
-            observations["reconvergence-after-fault"] = (
-                topo.converge(timeout=self.converge_timeout) is not None
-            )
-            observations["routes-correct-after-fault"] = all(
-                topo.routes_correct(source) for source in topo.routers
-            )
-
-            for a, b in self.cut_edges():
-                topo.restore_link(a, b)
-            observations["reconvergence-after-repair"] = (
-                topo.converge(timeout=self.converge_timeout) is not None
-            )
-            delivered_before = len(topo.delivered)
-            topo.send_data(src, dst, b"after")
-            sim.run(until=sim.now + 2)
-            observations["delivery-after-repair"] = (
-                len(topo.delivered) > delivered_before
-            )
-        except Exception as exc:  # noqa: BLE001 — escapes ARE the finding
-            evidence.errors.append(f"{type(exc).__name__}: {exc}")
-        evidence.extras.setdefault("info", {}).update(
-            {
-                "virtual_time": round(sim.now, 3),
-                "nodes": len(self.spec.nodes),
-                "edges": len(self.spec.edges),
-            }
+    def execute(seed: int, observe: Observe) -> Evidence:
+        """One routed trial over the spec's graph, sized in its info."""
+        evidence = routed_trial(
+            name, seed, observe, list(spec.edges), converge_timeout, script
+        )
+        evidence.extras["info"].update(
+            {"nodes": len(spec.nodes), "edges": len(spec.edges)}
         )
         return evidence
 
-
-class FleetLinkCutScenario(FleetScenario):
-    """Cut the highest-degree node's first link; the mesh must reroute."""
-
-    def __init__(self, spec: FleetSpec, converge_timeout: float = 60.0):
-        """Pick the cut deterministically from the spec's degree table."""
-        super().__init__(spec, converge_timeout)
-        self.name = f"fleet-linkcut-{spec.name}"
-        adj = adjacency(spec.nodes, spec.edges)
-        hub = max(sorted(spec.nodes), key=lambda n: len(adj[n]))
-        peer = adj[hub][0]
-        self._cut = [(min(hub, peer), max(hub, peer))]
-
-    def cut_edges(self) -> list[tuple[int, int]]:
-        """The single hub-adjacent edge chosen at construction."""
-        return self._cut
-
-
-class FleetPartitionScenario(FleetScenario):
-    """Cut every edge between the first region and the rest.
-
-    While partitioned, "correct routes" means *no* routes across the
-    gap (the oracle only credits reachable destinations); after repair
-    the full mesh must converge again and deliver across the healed
-    boundary.
-    """
-
-    def __init__(self, spec: FleetSpec, converge_timeout: float = 60.0):
-        """Derive the partition cut from the spec's own region split."""
-        super().__init__(spec, converge_timeout)
-        self.name = f"fleet-partition-{spec.name}"
-        if spec.shards < 2:
-            spec = spec.with_regions(2)
-        self._island = set(spec.regions[0])
-        self._cut = [
-            (a, b)
-            for a, b in spec.edges
-            if (a in self._island) != (b in self._island)
-        ]
-
-    def cut_edges(self) -> list[tuple[int, int]]:
-        """Every edge crossing the island boundary."""
-        return self._cut
-
-    def probe(self) -> tuple[int, int]:
-        """A pair spanning the island boundary."""
-        a, b = self.cut_edges()[0]
-        return a, b
+    return Scenario(name, "fleet", execute, ROUTING_MONITORS)
 
 
 def fleet_matrix(
     kind: str = "grid", nodes: int = 16, seed: int = 0
 ) -> list[Scenario]:
-    """The fleet campaign: one link cut and one partition scenario."""
-    spec = make_spec(kind, nodes, shards=2, seed=seed)
+    """The fleet campaign: one link cut and one partition scenario.
+
+    The link cut takes the highest-degree node's first link, so the
+    mesh must reroute; the partition cuts every edge between a BFS
+    half of the graph and the rest.
+    """
+    spec = make_spec(kind, nodes, seed=seed)
+    adj = adjacency(spec.nodes, spec.edges)
+    hub = max(sorted(spec.nodes), key=lambda n: len(adj[n]))
+    peer = adj[hub][0]
+    island = set(assign_regions(spec.nodes, spec.edges, 2)[0])
     return [
-        FleetLinkCutScenario(spec),
-        FleetPartitionScenario(spec),
+        fleet_scenario(
+            f"fleet-linkcut-{spec.name}",
+            spec,
+            [(min(hub, peer), max(hub, peer))],
+        ),
+        fleet_scenario(
+            f"fleet-partition-{spec.name}",
+            spec,
+            [(a, b) for a, b in spec.edges if (a in island) != (b in island)],
+        ),
     ]
 
 

@@ -71,17 +71,6 @@ class FleetSpec:
         rmap = _region_map(self)
         return [(a, b) for a, b in self.edges if rmap[a] != rmap[b]]
 
-    def with_regions(self, shards: int) -> "FleetSpec":
-        """The same graph re-partitioned into ``shards`` regions."""
-        return FleetSpec(
-            name=self.name,
-            nodes=self.nodes,
-            edges=self.edges,
-            regions=assign_regions(self.nodes, self.edges, shards),
-            link_delay=self.link_delay,
-            seed=self.seed,
-        )
-
 
 # ----------------------------------------------------------------------
 # Generators

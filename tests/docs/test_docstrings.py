@@ -24,6 +24,7 @@ SCOPED_MODULES = [
     "src/repro/faults/schedule.py",
     "src/repro/faults/scenarios.py",
     "src/repro/faults/__main__.py",
+    "src/repro/topo/campaign.py",
 ]
 
 

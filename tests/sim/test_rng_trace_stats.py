@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.core.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory, derive_seed
-from repro.sim.stats import Counter, RunningStats, ThroughputMeter
+from repro.sim.stats import RunningStats
 from repro.sim.trace import Trace
 
 
@@ -105,12 +104,6 @@ class TestTrace:
 
 
 class TestStats:
-    def test_counter(self):
-        c = Counter("drops")
-        c.increment()
-        c.increment(4)
-        assert c.value == 5
-
     def test_running_stats_empty(self):
         stats = RunningStats()
         assert stats.mean == 0.0
@@ -130,27 +123,3 @@ class TestStats:
         stats.add(2.0)
         d = stats.as_dict()
         assert d["count"] == 1 and d["mean"] == 2.0
-
-    def test_throughput_meter(self):
-        meter = ThroughputMeter()
-        meter.record(100, time=1.0)
-        meter.record(100, time=2.0)
-        assert meter.duration == 1.0
-        assert meter.throughput_bps() == pytest.approx(1600.0)
-
-    def test_throughput_meter_custom_end(self):
-        meter = ThroughputMeter()
-        meter.record(100, time=0.0)
-        assert meter.throughput_bps(end_time=4.0) == pytest.approx(200.0)
-
-    def test_throughput_meter_empty(self):
-        assert ThroughputMeter().throughput_bps() == 0.0
-
-
-class TestThroughputMeterCorruption:
-    def test_first_without_last_raises(self):
-        """A meter with a first delivery but no last is corrupt state,
-        reported as SimulationError rather than an -O-stripped assert."""
-        meter = ThroughputMeter(bytes_delivered=10, first_time=0.0)
-        with pytest.raises(SimulationError, match="corrupt"):
-            meter.throughput_bps()
