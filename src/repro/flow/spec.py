@@ -19,7 +19,7 @@ from typing import Any, Mapping
 
 from ..core.errors import ConfigurationError
 from ..network.packets import Address
-from .sets import IntervalSet
+from .sets import FIELD_MAX, IntervalSet
 
 #: Default initial TTL for injected packet sets (DataPacket.make default).
 DEFAULT_TTL = 32
@@ -107,6 +107,11 @@ class FlowSpec:
 
     def __post_init__(self) -> None:
         """Validate referential integrity once, so the engine never has to."""
+        if not 0 <= self.ttl <= FIELD_MAX["ttl"]:
+            raise ConfigurationError(
+                f"spec {self.name}: ttl {self.ttl} is outside the 8-bit "
+                f"TTL field (0-{FIELD_MAX['ttl']})"
+            )
         members = set(self.nodes)
         if len(self.nodes) != len(members):
             raise ConfigurationError(f"spec {self.name}: duplicate node address")

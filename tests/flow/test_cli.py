@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.flow.__main__ import main
 
 
@@ -56,3 +58,37 @@ def test_bad_spec_file_is_usage_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["--spec", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def line4(ttl: int) -> dict:
+    """Zone {1, 2, 4} on a line: 2 <-> 4 traffic must cross outsider 3."""
+    return {
+        "name": "line4",
+        "nodes": [1, 2, 3, 4],
+        "edges": [[1, 2], [2, 3], [3, 4]],
+        "fibs": {
+            "1": {"2": 2, "3": 2, "4": 2},
+            "2": {"1": 1, "3": 3, "4": 3},
+            "3": {"1": 2, "2": 2, "4": 4},
+            "4": {"1": 3, "2": 3, "3": 3},
+        },
+        "zones": [{"name": "z", "nodes": [1, 2, 4]}],
+        "ttl": ttl,
+    }
+
+
+def test_escape_is_refuted_at_a_valid_ttl(tmp_path, capsys):
+    spec = tmp_path / "line4.json"
+    spec.write_text(json.dumps(line4(32)))
+    assert main(["--spec", str(spec)]) == 1
+    assert "node 3: [no-escape]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ttl", [300, -1])
+def test_out_of_range_ttl_is_usage_error_not_proof(tmp_path, capsys, ttl):
+    spec = tmp_path / "line4.json"
+    spec.write_text(json.dumps(line4(ttl)))
+    assert main(["--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert "PROVED" not in captured.out
+    assert "ttl" in captured.err

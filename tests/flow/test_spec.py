@@ -47,6 +47,22 @@ class TestFromDict:
     def test_default_ttl(self):
         assert FlowSpec.from_dict(line3()).ttl == DEFAULT_TTL
 
+    @pytest.mark.parametrize("ttl", [0, 1, 255])
+    def test_ttl_inside_the_field_accepted(self, ttl):
+        data = line3()
+        data["ttl"] = ttl
+        assert FlowSpec.from_dict(data).ttl == ttl
+
+    @pytest.mark.parametrize("ttl", [-1, 256, 300])
+    def test_ttl_outside_the_field_rejected(self, ttl):
+        # A TTL the 8-bit header field cannot hold matches neither
+        # forwarding branch after the first hop, so packets would vanish
+        # undropped and every property would hold vacuously.
+        data = line3()
+        data["ttl"] = ttl
+        with pytest.raises(ConfigurationError, match="ttl"):
+            FlowSpec.from_dict(data)
+
     def test_unknown_edge_node_rejected(self):
         data = line3()
         data["edges"].append([3, 9])
