@@ -18,6 +18,11 @@ and the engine proves (or refutes, with witness packet sets):
 * **loop-freedom** — no packet set re-enters a node it already
   traversed.
 
+Destinations fall into classes that every node routes uniformly
+(:mod:`repro.flow.reach`), so one walk per (ingress, class) with the
+per-node decision of :mod:`repro.flow.transfer` stands for every
+packet in the class.
+
 ``python -m repro.flow`` runs the four checks over example topologies
 or spec files; ``python -m repro.staticcheck --flow`` surfaces the
 verdicts as static rules T4/T5.
@@ -25,11 +30,10 @@ verdicts as static rules T4/T5.
 
 from .examples import EXAMPLE_SPECS, example_spec
 from .properties import ALL_PROPERTIES, FlowViolation, analyze, analyze_all
-from .reach import ReachResult, reachability
 from .report import FlowReport
-from .sets import FIELDS, IntervalSet, PacketSet, cube, ternary_intervals
+from .sets import FIELDS, IntervalSet, PacketSet, cube
 from .spec import FlowSpec
-from .transfer import NodeTransfer, TransferResult, build_transfers
+from .transfer import NodeTransfer, build_transfers
 
 __all__ = [
     "ALL_PROPERTIES",
@@ -41,13 +45,9 @@ __all__ = [
     "IntervalSet",
     "NodeTransfer",
     "PacketSet",
-    "ReachResult",
-    "TransferResult",
     "analyze",
     "analyze_all",
     "build_transfers",
     "cube",
     "example_spec",
-    "reachability",
-    "ternary_intervals",
 ]

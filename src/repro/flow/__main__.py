@@ -115,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
             lines.append(
                 f"{name:<12} {verdict:<8} "
                 f"({stats.get('nodes', '?')} nodes, "
-                f"{stats.get('iterations', '?')} fixed-point steps)"
+                f"{stats.get('classes', '?')} destination classes)"
             )
             for violation in report.violations:
                 lines.append(f"  {violation.format()}")

@@ -1,76 +1,137 @@
-"""The four data-plane properties, decided symbolically.
+"""The four data-plane properties, decided on destination classes.
 
-Each check reads the shared :class:`~repro.flow.reach.ReachResult`
-(one fixed point per spec, not per property) and returns violations
-with witness packet sets small enough to paste into a bug report.
-:func:`analyze` runs the fixed point once and applies all four checks.
+:func:`analyze` builds the per-node transfers and the destination
+classes once (:mod:`repro.flow.reach`) and walks each ingress's packets
+into each class.  The checks read those walks and return violations
+with witness packet sets small enough to paste into a bug report: one
+cube per ``(src, ttl)`` holding the union of its destinations, in that
+order, so a message's "e.g." packet is the least packet of the first
+cube.
 """
 
 from __future__ import annotations
 
-from .reach import ReachResult, default_injections, find_loops, reachability
+from ..network.packets import Address
+from .reach import destination_classes, find_loops, walk
 from .report import ALL_PROPERTIES, FlowReport, FlowViolation, build_flow_report
 from .sets import IntervalSet, PacketSet, cube
-from .spec import FlowSpec
-from .transfer import DROP_NO_INTERFACE, DROP_NO_ROUTE
+from .spec import FlowSpec, Tenant, Zone
+from .transfer import (
+    DELIVERED,
+    DROP_NO_INTERFACE,
+    DROP_NO_ROUTE,
+    TransferGraph,
+    build_transfers,
+)
+
+#: Violating packets found at one node: ``(src, ttl) -> dst pieces``.
+_Found = dict[tuple[Address, int], list[IntervalSet]]
 
 
-def check_no_escape(spec: FlowSpec, reach: ReachResult) -> list[FlowViolation]:
+def _witness(found: _Found) -> PacketSet:
+    """One cube per ``(src, ttl)`` with its destinations' union, sorted."""
+    return PacketSet(
+        tuple(
+            cube(
+                src=src,
+                dst=IntervalSet.from_intervals(
+                    pair for dsts in pieces for pair in dsts.intervals
+                ),
+                ttl=ttl,
+            ).cubes[0]
+            for (src, ttl), pieces in sorted(found.items())
+        )
+    )
+
+
+def _seen_outside(
+    graph: TransferGraph, classes: list[IntervalSet], group: Zone | Tenant
+) -> dict[Address, PacketSet]:
+    """Packets ``group``'s nodes send into its address space, keyed by
+    the non-member node they are seen at, in node order."""
+    found: dict[Address, _Found] = {}
+    for cls in classes:
+        inside = cls.intersect(group.space)
+        if inside.is_empty:
+            continue
+        for src in sorted(group.nodes):
+            for node, ttl in walk(graph, src, cls).visits:
+                if node not in group.nodes:
+                    found.setdefault(node, {}).setdefault((src, ttl), []).append(
+                        inside
+                    )
+    return {node: _witness(found[node]) for node in sorted(found)}
+
+
+def _deliveries(
+    spec: FlowSpec, graph: TransferGraph, classes: list[IntervalSet]
+) -> tuple[dict[Address, PacketSet], int]:
+    """Walk every ingress into every class holding a deliverable address.
+
+    Returns the packets each node drops for want of a route or an
+    interface (keyed by node, in node order) and the number of packets
+    delivered.
+    """
+    deliverable = spec.deliverable()
+    lost: dict[Address, _Found] = {}
+    delivered = 0
+    for cls in classes:
+        dsts = cls.intersect(deliverable)
+        if dsts.is_empty:
+            continue
+        size = len(dsts)
+        for src in spec.nodes:
+            path = walk(graph, src, cls)
+            if path.fate == DELIVERED:
+                delivered += size
+            elif path.fate in (DROP_NO_ROUTE, DROP_NO_INTERFACE):
+                node, ttl = path.visits[-1]
+                lost.setdefault(node, {}).setdefault((src, ttl), []).append(dsts)
+    return {node: _witness(lost[node]) for node in sorted(lost)}, delivered
+
+
+def check_no_escape(
+    spec: FlowSpec, graph: TransferGraph, classes: list[IntervalSet]
+) -> list[FlowViolation]:
     """Packets addressed inside a zone never reach nodes outside it.
 
-    For every zone: the set {src ∈ zone nodes, dst ∈ zone space} must
-    have empty intersection with the ``seen`` set of every non-member
-    node.  A non-empty meet is the escape witness.
+    For every zone: no packet a member sends to the zone's space may be
+    seen at a non-member node.  The packets seen there are the escape
+    witness.
     """
     violations: list[FlowViolation] = []
     for zone in spec.zones:
-        if zone.space.is_empty or not zone.nodes:
-            continue
-        internal = cube(
-            src=IntervalSet.of(*zone.nodes), dst=zone.space
-        )
-        for node in spec.nodes:
-            if node in zone.nodes:
-                continue
-            escaped = reach.seen[node].intersect(internal)
-            if not escaped.is_empty:
-                sample = escaped.sample()
-                violations.append(
-                    FlowViolation(
-                        property="no-escape",
-                        spec=spec.name,
-                        node=node,
-                        message=(
-                            f"zone {zone.name!r} traffic reaches outside "
-                            f"node {node} (e.g. src={sample['src']} "
-                            f"dst={sample['dst']})"
-                        ),
-                        witness=escaped.as_dict(),
-                    )
+        for node, escaped in _seen_outside(graph, classes, zone).items():
+            sample = escaped.sample()
+            violations.append(
+                FlowViolation(
+                    property="no-escape",
+                    spec=spec.name,
+                    node=node,
+                    message=(
+                        f"zone {zone.name!r} traffic reaches outside "
+                        f"node {node} (e.g. src={sample['src']} "
+                        f"dst={sample['dst']})"
+                    ),
+                    witness=escaped.as_dict(),
                 )
+            )
     return violations
 
 
 def check_blackhole_freedom(
-    spec: FlowSpec, reach: ReachResult
+    spec: FlowSpec, lost: dict[Address, PacketSet]
 ) -> list[FlowViolation]:
     """Every deliverable address has a path: no packet addressed to an
     assigned node address is dropped for want of a route or interface.
 
-    (TTL expiry from FIB cycles is the loop check's finding — reported
-    once, there.)
+    ``lost`` is the first half of :func:`_deliveries`.  (TTL expiry
+    from FIB cycles is the loop check's finding — reported once, there.)
     """
-    deliverable = spec.deliverable()
     violations: list[FlowViolation] = []
-    for node in spec.nodes:
-        lost = PacketSet.empty()
-        for kind in (DROP_NO_ROUTE, DROP_NO_INTERFACE):
-            lost = lost.union(reach.dropped[node][kind])
-        lost = lost.constrain("dst", deliverable)
-        if lost.is_empty:
-            continue
-        sample = lost.sample()
-        dsts = lost.project("dst")
+    for node, packets in lost.items():
+        sample = packets.sample()
+        dsts = packets.project("dst")
         violations.append(
             FlowViolation(
                 property="blackhole-freedom",
@@ -81,13 +142,15 @@ def check_blackhole_freedom(
                     f"{dsts!r} (e.g. src={sample['src']} "
                     f"dst={sample['dst']})"
                 ),
-                witness=lost.as_dict(),
+                witness=packets.as_dict(),
             )
         )
     return violations
 
 
-def check_loop_freedom(spec: FlowSpec) -> list[FlowViolation]:
+def check_loop_freedom(
+    spec: FlowSpec, graph: TransferGraph, classes: list[IntervalSet]
+) -> list[FlowViolation]:
     """No packet set re-enters a node it already traversed.
 
     Decided on destination classes: inside one class forwarding is a
@@ -95,7 +158,7 @@ def check_loop_freedom(spec: FlowSpec) -> list[FlowViolation]:
     :func:`~repro.flow.reach.find_loops`).
     """
     violations: list[FlowViolation] = []
-    for loop in find_loops(spec):
+    for loop in find_loops(graph, classes):
         violations.append(
             FlowViolation(
                 property="loop-freedom",
@@ -111,7 +174,9 @@ def check_loop_freedom(spec: FlowSpec) -> list[FlowViolation]:
     return violations
 
 
-def check_isolation(spec: FlowSpec, reach: ReachResult) -> list[FlowViolation]:
+def check_isolation(
+    spec: FlowSpec, graph: TransferGraph, classes: list[IntervalSet]
+) -> list[FlowViolation]:
     """Two tenants' packet sets never meet at the same node/port.
 
     Two obligations: claimed address spaces are pairwise disjoint (an
@@ -139,16 +204,13 @@ def check_isolation(spec: FlowSpec, reach: ReachResult) -> list[FlowViolation]:
                     )
                 )
     for a in spec.tenants:
-        if not a.nodes or a.space.is_empty:
-            continue
-        intra = cube(src=IntervalSet.of(*a.nodes), dst=a.space)
+        seen = _seen_outside(graph, classes, a)
         for b in spec.tenants:
             if b.name == a.name:
                 continue
-            exclusive = b.nodes - a.nodes
-            for node in sorted(exclusive):
-                met = reach.seen[node].intersect(intra)
-                if not met.is_empty:
+            for node in sorted(b.nodes - a.nodes):
+                met = seen.get(node)
+                if met is not None:
                     sample = met.sample()
                     violations.append(
                         FlowViolation(
@@ -171,21 +233,20 @@ def check_isolation(spec: FlowSpec, reach: ReachResult) -> list[FlowViolation]:
 # ----------------------------------------------------------------------
 def analyze(spec: FlowSpec) -> FlowReport:
     """Prove (or refute) all four properties for one spec."""
-    reach = reachability(spec, default_injections(spec))
+    graph = build_transfers(spec)
+    classes = destination_classes(graph)
+    lost, delivered = _deliveries(spec, graph, classes)
     violations = (
-        check_no_escape(spec, reach)
-        + check_blackhole_freedom(spec, reach)
-        + check_loop_freedom(spec)
-        + check_isolation(spec, reach)
+        check_no_escape(spec, graph, classes)
+        + check_blackhole_freedom(spec, lost)
+        + check_loop_freedom(spec, graph, classes)
+        + check_isolation(spec, graph, classes)
     )
     stats = {
         "nodes": len(spec.nodes),
         "edges": len({(min(a, b), max(a, b)) for a, b in spec.edges}),
-        "iterations": reach.iterations,
-        "seen_cubes": sum(len(s.cubes) for s in reach.seen.values()),
-        "delivered_packets": sum(
-            s.count() for s in reach.delivered.values()
-        ),
+        "classes": len(classes),
+        "delivered_packets": delivered,
     }
     return build_flow_report(spec.name, violations, stats)
 

@@ -1,165 +1,84 @@
-"""Fixed-point reachability over the node graph.
+"""Destination classes, and the walks that decide reachability.
 
-The engine injects one symbolic packet set per ingress node (source
-address pinned to the injecting node, destination unconstrained, TTL
-at the spec's initial value) and pushes sets through the per-node
-transfer functions with a worklist until nothing new arrives anywhere.
-Because every arrival is subtracted against the node's accumulated
-``seen`` set — and forwarding strictly decrements TTL — the iteration
-terminates even on topologies whose FIBs loop: a looping set re-enters
-with a smaller TTL until it expires, and every expiry is recorded.
+Destination *classes* (:func:`destination_classes`) partition the
+``dst`` universe by the vector of FIB decisions across all nodes:
+every node treats two destinations of one class identically.  Inside a
+class forwarding is therefore a *function* of the node, so the packets
+one ingress sends into a class follow exactly one path.  A
+:class:`Walk` follows it with concrete per-node decisions
+(:meth:`~repro.flow.transfer.NodeTransfer.decide`), starting with
+origination semantics and the spec's TTL; every forward strictly
+decrements TTL, so walks halt even when FIBs loop.  No-escape,
+blackhole-freedom and isolation read the walks.
 
-Two artifacts come out:
-
-* a :class:`ReachResult` — per-node ``seen`` / ``delivered`` / drop
-  sets and per-edge flows, which the no-escape, isolation, and
-  blackhole checks read directly;
-* destination *classes* (:func:`destination_classes`) — the partition
-  of the ``dst`` universe by the vector of FIB decisions across all
-  nodes.  Within a class every node forwards identically, so FIB loops
-  are exactly cycles of the class's next-hop functional graph
-  (:func:`find_loops`) — the symbolic equivalent of "a packet set
-  re-enters a node with non-decreasing TTL" under TTL-erased
-  semantics.
+FIB loops are exactly the cycles of a class's next-hop functional graph
+(:func:`find_loops`) — the symbolic equivalent of "a packet set
+re-enters a node with non-decreasing TTL" under TTL-erased semantics.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..network.packets import Address
-from .sets import IntervalSet, PacketSet, cube
-from .spec import FlowSpec
-from .transfer import DROP_NO_INTERFACE, DROP_NO_ROUTE, DROP_TTL, TransferGraph, build_transfers
+from .sets import FIELD_MAX, IntervalSet
+from .transfer import FORWARDED, TransferGraph
+
+#: Every destination address.
+UNIVERSE = IntervalSet.span(0, FIELD_MAX["dst"])
 
 
-@dataclass
-class ReachResult:
-    """Everything the fixed point learned about a spec."""
-
-    spec: FlowSpec
-    #: Every packet set ever *seen arriving* at a node (including its
-    #: own injected set — the node is on the packet's path).
-    seen: dict[Address, PacketSet]
-    #: Sets consumed at each node (``dst`` == node address).
-    delivered: dict[Address, PacketSet]
-    #: Drop sets per node per kind (``ttl_expired`` etc.).
-    dropped: dict[Address, dict[str, PacketSet]]
-    #: Aggregate flow per directed edge ``(node, next_hop)``.
-    flows: dict[tuple[Address, Address], PacketSet]
-    #: Worklist iterations until the fixed point closed.
-    iterations: int = 0
-
-    def dropped_total(self, kind: str) -> PacketSet:
-        """Union of one drop kind across all nodes."""
-        total = PacketSet.empty()
-        for drops in self.dropped.values():
-            total = total.union(drops.get(kind, PacketSet.empty()))
-        return total
-
-
-def default_injections(spec: FlowSpec) -> dict[Address, PacketSet]:
-    """The standard ingress model: every node originates packets with
-    ``src`` = its own address, any destination, TTL = ``spec.ttl`` —
-    so per-ingress attribution survives in the ``src`` field (the data
-    plane never rewrites it)."""
-    return {
-        node: cube(src=node, ttl=spec.ttl)
-        for node in spec.nodes
-    }
-
-
-def reachability(
-    spec: FlowSpec,
-    injections: dict[Address, PacketSet] | None = None,
-    graph: TransferGraph | None = None,
-) -> ReachResult:
-    """Run the worklist fixed point; see the module docstring."""
-    graph = graph if graph is not None else build_transfers(spec)
-    injections = (
-        injections if injections is not None else default_injections(spec)
-    )
-    result = ReachResult(
-        spec=spec,
-        seen={node: PacketSet.empty() for node in spec.nodes},
-        delivered={node: PacketSet.empty() for node in spec.nodes},
-        dropped={
-            node: {
-                DROP_TTL: PacketSet.empty(),
-                DROP_NO_ROUTE: PacketSet.empty(),
-                DROP_NO_INTERFACE: PacketSet.empty(),
-            }
-            for node in spec.nodes
-        },
-        flows={},
-    )
-
-    # Worklist entries: (node, arriving set, originate?).  Injected sets
-    # go through origination semantics (no TTL decrement at the source),
-    # matching ForwardingSublayer.originate.
-    work: deque[tuple[Address, PacketSet, bool]] = deque()
-    for node in spec.nodes:
-        injected = injections.get(node, PacketSet.empty())
-        if not injected.is_empty:
-            work.append((node, injected, True))
-
-    while work:
-        node, arriving, originate = work.popleft()
-        fresh = arriving.subtract(result.seen[node])
-        if fresh.is_empty:
-            continue
-        result.iterations += 1
-        result.seen[node] = result.seen[node].union(fresh)
-        step = graph.at(node).apply(fresh, originate=originate)
-        result.delivered[node] = result.delivered[node].union(step.delivered)
-        for kind, dropped in step.dropped.items():
-            if not dropped.is_empty:
-                result.dropped[node][kind] = result.dropped[node][kind].union(
-                    dropped
-                )
-        for next_hop, out in step.forwarded.items():
-            edge = (node, next_hop)
-            result.flows[edge] = result.flows.get(
-                edge, PacketSet.empty()
-            ).union(out)
-            work.append((next_hop, out, False))
-    return result
-
-
-# ----------------------------------------------------------------------
-# Destination classes and FIB loops
-# ----------------------------------------------------------------------
-def destination_classes(spec: FlowSpec) -> list[IntervalSet]:
+def destination_classes(graph: TransferGraph) -> list[IntervalSet]:
     """Partition the ``dst`` universe by FIB behaviour.
 
-    Start from the whole space and refine with every node's next-hop
-    groups *and* its own address (delivery is a FIB decision too: the
-    owner consumes what everyone else forwards); two destinations land
-    in the same class iff *every* node treats them identically.  The
-    partition size is bounded by the number of distinct FIB entries
-    plus nodes, not by the 2^16 address space.
+    Delivery is a FIB decision too — the owner consumes what everyone
+    else forwards — so each node address is a class of its own.  Other
+    FIB keys are grouped by their vector of per-node next hops, and
+    every address no node routes forms one "routed nowhere" class.  The
+    partition size is bounded by the number of distinct FIB keys plus
+    one, not by the 2^16 address space.
     """
-    universe = IntervalSet.span(0, 0xFFFF)
-    classes: list[IntervalSet] = [universe]
-    graph = build_transfers(spec)
-    for node in spec.nodes:
-        transfer = graph.at(node)
-        splitters = [IntervalSet.of(node), *transfer.groups.values()]
-        refined: list[IntervalSet] = []
-        for cls in classes:
-            remainder = cls
-            for dsts in splitters:
-                inside = remainder.intersect(dsts)
-                if not inside.is_empty:
-                    refined.append(inside)
-                    remainder = remainder.subtract(dsts)
-                if remainder.is_empty:
-                    break
-            if not remainder.is_empty:
-                refined.append(remainder)
-        classes = refined
-    return classes
+    owners = set(graph.nodes)
+    vectors: dict[Address, list[Address | None]] = {}
+    for i, node in enumerate(graph.nodes):
+        for next_hop, dsts in graph.at(node).groups.items():
+            for dst in dsts.intersect(UNIVERSE):
+                if dst not in owners:
+                    vectors.setdefault(dst, [None] * len(owners))[i] = next_hop
+    grouped: dict[tuple[Address | None, ...], list[Address]] = {}
+    for dst, vector in vectors.items():
+        grouped.setdefault(tuple(vector), []).append(dst)
+    classes = [IntervalSet.of(node) for node in owners if node in UNIVERSE]
+    classes += [IntervalSet.of(*dsts) for dsts in grouped.values()]
+    nowhere = UNIVERSE.subtract(IntervalSet.of(*owners, *vectors))
+    if not nowhere.is_empty:
+        classes.append(nowhere)
+    return sorted(classes, key=IntervalSet.min)
+
+
+@dataclass(frozen=True)
+class Walk:
+    """The path of one ingress's packets into one destination class."""
+
+    #: ``(node, arriving ttl)`` for every node the packets are seen at.
+    visits: tuple[tuple[Address, int], ...]
+    #: How the path ends: delivered, or one of the drop kinds.
+    fate: str
+
+
+def walk(graph: TransferGraph, src: Address, dsts: IntervalSet) -> Walk:
+    """Follow the packets ``src`` originates to ``dsts`` (one class),
+    deciding on the class's least address at every hop."""
+    dst = dsts.min()
+    transfers = graph.transfers
+    node, ttl, originate = src, graph.spec.ttl, True
+    visits = []
+    while True:
+        visits.append((node, ttl))
+        fate, next_hop, out_ttl = transfers[node].decide(dst, ttl, originate)
+        if fate != FORWARDED:
+            return Walk(visits=tuple(visits), fate=fate)
+        node, ttl, originate = next_hop, out_ttl, False
 
 
 @dataclass(frozen=True)
@@ -177,7 +96,7 @@ class Loop:
         }
 
 
-def find_loops(spec: FlowSpec) -> list[Loop]:
+def find_loops(graph: TransferGraph, classes: list[IntervalSet]) -> list[Loop]:
     """FIB loops, per destination class (exact for dst-keyed FIBs).
 
     Within one destination class the next hop is a *function* of the
@@ -185,30 +104,23 @@ def find_loops(spec: FlowSpec) -> list[Loop]:
     cycle not containing the destination's owner.  Three-color walk per
     class, O(nodes) each.
     """
-    graph = build_transfers(spec)
     loops: dict[tuple[Address, ...], IntervalSet] = {}
-    for cls in destination_classes(spec):
+    for cls in classes:
         # Next hop per node for this class (None: deliver-or-drop here).
-        step: dict[Address, Address | None] = {}
-        for node in spec.nodes:
-            transfer = graph.at(node)
-            hop = None
-            for next_hop, dsts in transfer.groups.items():
-                if not cls.intersect(dsts).is_empty:
-                    hop = next_hop if next_hop in transfer.resolvable else None
-                    break
-            step[node] = hop
-        # A destination inside the class that is also a node delivers at
-        # itself — its owner never forwards it onward.
-        owners = {node for node in spec.nodes if node in cls}
+        # Origination skips the TTL check: the TTL-erased decision.
+        dst = cls.min()
+        step = {
+            node: graph.at(node).decide(dst, 0, originate=True)[1]
+            for node in graph.nodes
+        }
         color: dict[Address, int] = {}  # 0 visiting path, 1 done
-        for start in spec.nodes:
+        for start in graph.nodes:
             path: list[Address] = []
             node: Address | None = start
             while node is not None and color.get(node) is None:
                 color[node] = 0
                 path.append(node)
-                node = step[node] if node not in owners else None
+                node = step[node]
             if node is not None and color.get(node) == 0:
                 cycle = tuple(path[path.index(node):])
                 # Canonical rotation so the same loop dedups.

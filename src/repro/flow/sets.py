@@ -1,25 +1,21 @@
 """Symbolic packet sets: predicates over header fields.
 
 The atoms are :class:`IntervalSet` values — unions of disjoint
-inclusive integer intervals over one header field's universe — built
-from ranges, single values, or ternary (value/mask) patterns.  A
-:class:`PacketSet` is a union of *cubes*, each cube constraining every
-field of the data-plane header (:data:`FIELDS`: ``src``/``dst`` are
-16-bit addresses, ``ttl`` is 8 bits) by one interval set.  The algebra
-is closed under union, intersection, negation and subtraction, and
-``is_empty`` is decidable — which is all the reachability engine needs
-to run a fixed point (see :mod:`repro.flow.reach`).
-
-The representation mirrors how the forwarding sublayer actually
-branches: FIB lookups partition the ``dst`` space, TTL handling splits
-``ttl`` at a threshold, and nothing in the data plane reads ``src`` —
-so cubes stay few and the fixed point converges quickly.
+inclusive integer intervals over one header field's universe, built
+from ranges or single values.  Destination classes
+(:mod:`repro.flow.reach`) and zone/tenant address spaces are interval
+sets over ``dst``.  A :class:`PacketSet` is a union of *cubes*, each
+cube constraining every field of the data-plane header
+(:data:`FIELDS`: ``src``/``dst`` are 16-bit addresses, ``ttl`` is 8
+bits) by one interval set.  That is the shape of a violation witness:
+the analysis emits one cube per ``(src, ttl)`` holding every
+destination that violates a property there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from ..core.errors import ConfigurationError
 
@@ -139,20 +135,6 @@ class IntervalSet:
                 out.append((cursor, hi))
         return IntervalSet(tuple(out))
 
-    def complement(self, lo: int, hi: int) -> "IntervalSet":
-        """Members of the universe ``[lo, hi]`` not in ``self``."""
-        return IntervalSet.span(lo, hi).subtract(self)
-
-    def shift(self, delta: int, lo: int, hi: int) -> "IntervalSet":
-        """Every member moved by ``delta``, clipped to ``[lo, hi]``.
-
-        This is the TTL decrement: ``shift(-1, 0, 255)``.
-        """
-        return IntervalSet.from_intervals(
-            (max(a + delta, lo), min(b + delta, hi))
-            for a, b in self.intervals
-        )
-
     def __repr__(self) -> str:
         if self.is_empty:
             return "{}"
@@ -163,39 +145,6 @@ class IntervalSet:
 
 
 _EMPTY = IntervalSet(())
-
-
-def ternary_intervals(pattern: str) -> IntervalSet:
-    """The interval set matching a ternary bit ``pattern``.
-
-    ``pattern`` is a string over ``{'0', '1', 'x'}``, most significant
-    bit first — the classic TCAM match.  A don't-care suffix is a
-    single interval; interior don't-cares split into at most
-    ``2**(interior x's)`` intervals, built by recursive bifurcation so
-    adjacent ranges merge back together.
-    """
-    for ch in pattern:
-        if ch not in "01x":
-            raise ConfigurationError(
-                f"ternary pattern {pattern!r}: only '0', '1', 'x' allowed"
-            )
-
-    def expand(bits: str, base: int) -> list[tuple[int, int]]:
-        # Strip a fully-wild suffix in one step: it is one interval.
-        width = len(bits)
-        if "0" not in bits and "1" not in bits:
-            return [(base, base + (1 << width) - 1)]
-        head, rest = bits[0], bits[1:]
-        half = 1 << (width - 1)
-        if head == "0":
-            return expand(rest, base) if rest else [(base, base)]
-        if head == "1":
-            return expand(rest, base + half) if rest else [(base + half, base + half)]
-        low = expand(rest, base) if rest else [(base, base)]
-        high = expand(rest, base + half) if rest else [(base + half, base + half)]
-        return low + high
-
-    return IntervalSet.from_intervals(expand(pattern, 0))
 
 
 # ----------------------------------------------------------------------
@@ -238,42 +187,7 @@ def cube(**constraints: IntervalSet | int | tuple[int, int]) -> "PacketSet":
             f"have {sorted(FIELDS)}"
         )
     c = tuple(entries)
-    return PacketSet(()) if _cube_empty(c) else PacketSet((c,))
-
-
-def _cube_empty(c: Cube) -> bool:
-    return any(s.is_empty for _, s in c)
-
-
-def _cube_intersect(a: Cube, b: Cube) -> Cube | None:
-    out: list[tuple[str, IntervalSet]] = []
-    for (field, sa), (_, sb) in zip(a, b):
-        s = sa.intersect(sb)
-        if s.is_empty:
-            return None
-        out.append((field, s))
-    return tuple(out)
-
-
-def _cube_subtract(a: Cube, b: Cube) -> list[Cube]:
-    """``a`` minus ``b`` as disjoint cubes (standard cube splitting).
-
-    Peel one field at a time: the part of ``a`` outside ``b`` in that
-    field survives whole; the part inside continues to the next field.
-    """
-    if _cube_intersect(a, b) is None:
-        return [a]
-    pieces: list[Cube] = []
-    remainder = list(a)
-    for index, (field, sa) in enumerate(a):
-        sb = dict(b)[field]
-        outside = sa.subtract(sb)
-        if not outside.is_empty:
-            piece = list(remainder)
-            piece[index] = (field, outside)
-            pieces.append(tuple(piece))
-        remainder[index] = (field, sa.intersect(sb))
-    return pieces
+    return PacketSet(()) if any(s.is_empty for _, s in c) else PacketSet((c,))
 
 
 @dataclass(frozen=True)
@@ -282,109 +196,11 @@ class PacketSet:
 
     cubes: tuple[Cube, ...]
 
-    # -- constructors --------------------------------------------------
-    @classmethod
-    def empty(cls) -> "PacketSet":
-        """The empty packet set."""
-        return cls(())
-
-    @classmethod
-    def all(cls) -> "PacketSet":
-        """Every packet (all fields unconstrained)."""
-        return cube()
-
     # -- predicates ----------------------------------------------------
     @property
     def is_empty(self) -> bool:
         """True when the predicate matches no packet."""
         return not self.cubes
-
-    def contains(self, packet: Mapping[str, int]) -> bool:
-        """Does a concrete packet (field -> value) satisfy the predicate?"""
-        return any(
-            all(packet[field] in s for field, s in c) for c in self.cubes
-        )
-
-    def count(self) -> int:
-        """Number of concrete packets matched (inclusion–exclusion-free:
-        cubes from this module's operations are kept disjoint)."""
-        total = 0
-        for c in self.cubes:
-            n = 1
-            for _, s in c:
-                n *= len(s)
-            total += n
-        return total
-
-    # -- algebra -------------------------------------------------------
-    def union(self, other: "PacketSet") -> "PacketSet":
-        """Set union; ``other``'s overlap with ``self`` is carved off so
-        the cube list stays disjoint (keeps ``count`` exact and bounds
-        growth in the fixed point)."""
-        added = other.subtract(self)
-        return PacketSet(self.cubes + added.cubes)
-
-    def intersect(self, other: "PacketSet") -> "PacketSet":
-        """Set intersection (pairwise cube meet)."""
-        out: list[Cube] = []
-        for a in self.cubes:
-            for b in other.cubes:
-                c = _cube_intersect(a, b)
-                if c is not None:
-                    out.append(c)
-        return PacketSet(tuple(out))
-
-    def subtract(self, other: "PacketSet") -> "PacketSet":
-        """Members of ``self`` not in ``other``."""
-        cubes = list(self.cubes)
-        for b in other.cubes:
-            if not cubes:
-                break
-            next_cubes: list[Cube] = []
-            for a in cubes:
-                next_cubes.extend(_cube_subtract(a, b))
-            cubes = next_cubes
-        return PacketSet(tuple(cubes))
-
-    def negate(self) -> "PacketSet":
-        """The complement within the full packet universe."""
-        return PacketSet.all().subtract(self)
-
-    # -- field surgery (what the transfer function needs) --------------
-    def constrain(self, field: str, allowed: IntervalSet) -> "PacketSet":
-        """Cubes narrowed so ``field`` lies inside ``allowed``."""
-        out: list[Cube] = []
-        for c in self.cubes:
-            entries = []
-            empty = False
-            for name, s in c:
-                if name == field:
-                    s = s.intersect(allowed)
-                    if s.is_empty:
-                        empty = True
-                        break
-                entries.append((name, s))
-            if not empty:
-                out.append(tuple(entries))
-        return PacketSet(tuple(out))
-
-    def shift_field(self, field: str, delta: int) -> "PacketSet":
-        """``field`` moved by ``delta`` in every cube (TTL decrement),
-        clipped to the field's universe."""
-        out: list[Cube] = []
-        for c in self.cubes:
-            entries = []
-            empty = False
-            for name, s in c:
-                if name == field:
-                    s = s.shift(delta, 0, FIELD_MAX[field])
-                    if s.is_empty:
-                        empty = True
-                        break
-                entries.append((name, s))
-            if not empty:
-                out.append(tuple(entries))
-        return PacketSet(tuple(out))
 
     def project(self, field: str) -> IntervalSet:
         """The union of ``field``'s values across all cubes."""

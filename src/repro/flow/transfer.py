@@ -1,19 +1,20 @@
-"""Per-node symbolic transfer functions, extracted from forwarding semantics.
+"""Per-node forwarding decisions, extracted from forwarding semantics.
 
-Each :class:`NodeTransfer` is the symbolic mirror of one
+Each :class:`NodeTransfer` is the static mirror of one
 :class:`~repro.network.forwarding.ForwardingSublayer`: the same
 branch structure — deliver-local, FIB lookup, TTL check, next-hop
-interface resolution — applied to a whole :class:`PacketSet` at once
-instead of one packet.  The branches are *exactly* the runtime ones
-(``tests/flow/test_transfer.py`` cross-validates symbolic verdicts
-against a concrete ``ForwardingSublayer`` packet by packet), so a
-symbolic verdict is a statement about the shipped code, not about a
-re-implementation.
+interface resolution — decided for one packet's ``(dst, ttl)``.  The
+branches are *exactly* the runtime ones (``tests/flow/test_transfer.py``
+cross-validates decisions against a concrete ``ForwardingSublayer``
+packet by packet), so a verdict is a statement about the shipped code,
+not about a re-implementation.  Destination classes
+(:mod:`repro.flow.reach`) make one decision stand for a whole set of
+destinations: inside a class every node decides identically.
 
-The drop categories carry the runtime metric names
-(``ttl_expired`` / ``no_route`` / ``no_interface``) so flow-analysis
-verdicts can be cross-checked against the counters the sublayer
-dual-counts into its :class:`~repro.core.metrics.MetricsSink`.
+The fates carry the runtime metric names (``ttl_expired`` /
+``no_route`` / ``no_interface``) so flow-analysis verdicts can be
+cross-checked against the counters the sublayer dual-counts into its
+:class:`~repro.core.metrics.MetricsSink`.
 """
 
 from __future__ import annotations
@@ -21,89 +22,58 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..network.packets import Address
-from .sets import IntervalSet, PacketSet
+from .sets import IntervalSet
 from .spec import FlowSpec
 
 #: Drop kinds, named after the forwarding sublayer's runtime counters.
 DROP_TTL = "ttl_expired"
 DROP_NO_ROUTE = "no_route"
 DROP_NO_INTERFACE = "no_interface"
+#: The two fates that are not drops.
+DELIVERED = "delivered"
+FORWARDED = "forwarded"
 
 
-@dataclass
-class TransferResult:
-    """What one symbolic step at a node does to an arriving packet set."""
-
-    #: Packets whose ``dst`` is this node: consumed here.
-    delivered: PacketSet
-    #: Dropped sets by kind (:data:`DROP_TTL` / :data:`DROP_NO_ROUTE` /
-    #: :data:`DROP_NO_INTERFACE`).
-    dropped: dict[str, PacketSet]
-    #: Sets leaving on each live out-edge, TTL already decremented.
-    forwarded: dict[Address, PacketSet]
+#: One packet's fate at one node: ``(fate, next_hop, outgoing ttl)``;
+#: the next hop and TTL are ``None`` unless the fate is :data:`FORWARDED`.
+Decision = tuple[str, Address | None, int | None]
 
 
 class NodeTransfer:
-    """The forwarding sublayer of one node as a packet-set function."""
+    """The forwarding sublayer of one node as a decision function."""
 
     def __init__(self, spec: FlowSpec, address: Address):
+        """Read ``address``'s installed FIB and live neighbours from ``spec``."""
         self.address = address
-        fib = spec.fib_of(address)
-        neighbors = spec.neighbors(address)
-        #: dst values grouped by the FIB's chosen next hop.
-        self.groups: dict[Address, IntervalSet] = {}
-        for dst, next_hop in fib.items():
-            self.groups[next_hop] = self.groups.get(
-                next_hop, IntervalSet.empty()
-            ).union(IntervalSet.of(dst))
+        self.fib = spec.fib_of(address)
         #: Next hops the node can actually reach (live adjacency) —
         #: the static mirror of ``resolve_interface`` returning None.
-        self.resolvable = frozenset(self.groups) & neighbors
-        self.unresolvable = frozenset(self.groups) - neighbors
-        self.routed: IntervalSet = IntervalSet.empty()
-        for dsts in self.groups.values():
-            self.routed = self.routed.union(dsts)
+        self.neighbors = spec.neighbors(address)
+        by_hop: dict[Address, list[Address]] = {}
+        for dst, next_hop in self.fib.items():
+            by_hop.setdefault(next_hop, []).append(dst)
+        #: dst values grouped by the FIB's chosen next hop.
+        self.groups: dict[Address, IntervalSet] = {
+            next_hop: IntervalSet.of(*dsts) for next_hop, dsts in by_hop.items()
+        }
 
-    def apply(self, arriving: PacketSet, originate: bool = False) -> TransferResult:
-        """One symbolic step, mirroring ``ForwardingSublayer.forward``.
+    def decide(self, dst: Address, ttl: int, originate: bool = False) -> Decision:
+        """One packet's fate, branch for branch ``ForwardingSublayer.forward``.
 
         With ``originate=True`` the TTL branch is skipped and nothing is
         decremented — the semantics of locally-generated packets
         (``ForwardingSublayer.originate``).
         """
-        local = IntervalSet.of(self.address)
-        delivered = arriving.constrain("dst", local)
-        transit = arriving.constrain("dst", local.complement(0, 0xFFFF))
-
-        no_route = transit.constrain("dst", self.routed.complement(0, 0xFFFF))
-        routed = transit.constrain("dst", self.routed)
-
-        dropped: dict[str, PacketSet] = {
-            DROP_NO_ROUTE: no_route,
-            DROP_TTL: PacketSet.empty(),
-            DROP_NO_INTERFACE: PacketSet.empty(),
-        }
-        if not originate:
-            # forward(): TTL <= 1 expires *before* interface resolution.
-            dropped[DROP_TTL] = routed.constrain("ttl", IntervalSet.span(0, 1))
-            routed = routed.constrain("ttl", IntervalSet.span(2, 255))
-
-        forwarded: dict[Address, PacketSet] = {}
-        for next_hop in sorted(self.groups):
-            out = routed.constrain("dst", self.groups[next_hop])
-            if out.is_empty:
-                continue
-            if next_hop in self.unresolvable:
-                dropped[DROP_NO_INTERFACE] = dropped[
-                    DROP_NO_INTERFACE
-                ].union(out)
-                continue
-            if not originate:
-                out = out.shift_field("ttl", -1)
-            forwarded[next_hop] = out
-        return TransferResult(
-            delivered=delivered, dropped=dropped, forwarded=forwarded
-        )
+        if dst == self.address:
+            return (DELIVERED, None, None)
+        next_hop = self.fib.get(dst)
+        if next_hop is None:
+            return (DROP_NO_ROUTE, None, None)
+        if not originate and ttl <= 1:
+            return (DROP_TTL, None, None)
+        if next_hop not in self.neighbors:
+            return (DROP_NO_INTERFACE, None, None)
+        return (FORWARDED, next_hop, ttl if originate else ttl - 1)
 
 
 @dataclass

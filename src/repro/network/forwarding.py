@@ -21,7 +21,7 @@ from .packets import Address, DataPacket
 
 #: Metric aliases shared with the symbolic flow analyzer: the runtime
 #: counter and the static drop kind carry the same name, so a
-#: :class:`~repro.flow.reach.ReachResult` drop set and a
+#: :meth:`~repro.flow.transfer.NodeTransfer.decide` fate and a
 #: ``forwarding/<addr>/...`` counter are directly comparable.
 TTL_EXPIRED = "ttl_expired"
 NO_ROUTE = "no_route"

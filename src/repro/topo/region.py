@@ -28,7 +28,7 @@ from ..network.routing.link_state import LinkState
 from ..obs.metrics import MetricsRegistry
 from ..sim.engine import Rank, Simulator
 from .links import Delivery, FleetChannel
-from .spec import FleetSpec, bfs_distances, iface_index, link_id, static_fibs
+from .spec import FleetSpec, adjacency, bfs_distances, iface_index, link_id, static_fibs
 from .traffic import Flow
 
 #: Routing modes: ``static`` pre-installs oracle FIBs and neighbor
@@ -66,6 +66,7 @@ class RegionWorld:
         self._cross_sink = cross_sink if cross_sink is not None else self.outbox.append
         self._members = set(spec.regions[region_id])
         self._ifaces = iface_index(spec)
+        self._adjacency = adjacency(spec.nodes, spec.edges)
 
         for node in sorted(self._members):
             router = Router(
@@ -82,7 +83,7 @@ class RegionWorld:
         # with iface_index(); channels for every direction sourced here.
         for node in sorted(self._members):
             router = self.routers[node]
-            for peer in self._neighbors(node):
+            for peer in self._adjacency[node]:
                 interface = router.add_interface()
                 assert interface.index == self._ifaces[(node, peer)]
                 channel = FleetChannel(
@@ -117,11 +118,6 @@ class RegionWorld:
                 self.routers[node].start()
 
     # ------------------------------------------------------------------
-    def _neighbors(self, node: int) -> list[int]:
-        return sorted(
-            p for (n, p) in self._ifaces if n == node
-        )
-
     def _install_static_state(self) -> None:
         fibs = static_fibs(self.spec)
         for node in sorted(self._members):
@@ -132,7 +128,7 @@ class RegionWorld:
                     interface=self._ifaces[(node, peer)],
                     last_heard=0.0,
                 )
-                for peer in self._neighbors(node)
+                for peer in self._adjacency[node]
             }
             with acting_as("neighbor"):
                 router.neighbor.state.entries = entries

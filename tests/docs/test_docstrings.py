@@ -25,6 +25,12 @@ SCOPED_MODULES = [
     "src/repro/faults/scenarios.py",
     "src/repro/faults/__main__.py",
     "src/repro/topo/campaign.py",
+    "src/repro/flow/sets.py",
+    "src/repro/flow/spec.py",
+    "src/repro/flow/transfer.py",
+    "src/repro/flow/reach.py",
+    "src/repro/flow/properties.py",
+    "src/repro/flow/report.py",
 ]
 
 

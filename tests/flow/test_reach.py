@@ -1,14 +1,9 @@
-"""The fixed point: seen/delivered/drop sets, classes, loop detection."""
+"""Class walks: paths, deliveries, TTL expiry, classes, loop detection."""
 
-from repro.flow.reach import (
-    default_injections,
-    destination_classes,
-    find_loops,
-    reachability,
-)
-from repro.flow.sets import IntervalSet, cube
+from repro.flow.reach import destination_classes, find_loops, walk
+from repro.flow.sets import IntervalSet
 from repro.flow.spec import FlowSpec
-from repro.flow.transfer import DROP_TTL
+from repro.flow.transfer import DELIVERED, DROP_TTL, build_transfers
 
 
 def line3() -> FlowSpec:
@@ -41,42 +36,53 @@ def looped() -> FlowSpec:
     )
 
 
+def walks(spec: FlowSpec):
+    graph = build_transfers(spec)
+    return [
+        walk(graph, src, cls)
+        for cls in destination_classes(graph)
+        for src in spec.nodes
+    ]
+
+
 class TestReachability:
     def test_every_node_delivers_everyone_elses_traffic(self):
-        reach = reachability(line3())
+        graph = build_transfers(line3())
         for node in (1, 2, 3):
             # each node consumes packets addressed to it from every
-            # source, including the set it originated itself
-            srcs = set(reach.delivered[node].project("src"))
-            assert srcs == {1, 2, 3}
+            # source, including the ones it originated itself
+            for src in (1, 2, 3):
+                path = walk(graph, src, IntervalSet.of(node))
+                assert path.fate == DELIVERED
+                assert path.visits[-1][0] == node
 
     def test_transit_traffic_is_seen_at_the_middle(self):
-        reach = reachability(line3())
-        crossing = reach.seen[2].intersect(cube(src=1, dst=3))
-        assert not crossing.is_empty
+        path = walk(build_transfers(line3()), 1, IntervalSet.of(3))
+        assert [node for node, _ in path.visits] == [1, 2, 3]
 
     def test_flows_follow_the_line(self):
-        reach = reachability(line3())
-        assert (1, 2) in reach.flows and (2, 3) in reach.flows
-        assert (1, 3) not in reach.flows  # no such link
-
-    def test_custom_injection_restricts_the_analysis(self):
         spec = line3()
-        reach = reachability(spec, {1: cube(src=1, dst=3, ttl=spec.ttl)})
-        assert reach.delivered[3].count() == 1
-        assert reach.delivered[2].is_empty
+        hops = set()
+        for path in walks(spec):
+            nodes = [node for node, _ in path.visits]
+            hops |= set(zip(nodes, nodes[1:]))
+        assert hops <= spec.edges
+        assert (1, 2) in hops and (2, 3) in hops
+        assert (1, 3) not in hops  # no such link
 
     def test_loopy_fib_terminates_via_ttl(self):
-        reach = reachability(looped())
-        expired = reach.dropped_total(DROP_TTL)
-        assert not expired.intersect(cube(dst=3)).is_empty
-        # bounded by TTL: strictly more iterations than the clean line
-        assert reach.iterations > reachability(line3()).iterations
+        spec = looped()
+        path = walk(build_transfers(spec), 1, IntervalSet.of(3))
+        assert path.fate == DROP_TTL
+        # origination keeps the TTL; every later hop spends one
+        assert path.visits[:3] == ((1, spec.ttl), (2, spec.ttl), (1, spec.ttl - 1))
+        assert path.visits[-1][1] == 1
+        assert len(path.visits) == spec.ttl + 1
 
 
 class TestDestinationClasses:
     def test_partition_covers_and_separates(self):
-        classes = destination_classes(line3())
+        classes = destination_classes(build_transfers(line3()))
         total = IntervalSet.empty()
         for cls in classes:
             assert total.intersect(cls).is_empty
@@ -84,24 +90,47 @@ class TestDestinationClasses:
         assert total.intervals == ((0, 0xFFFF),)
 
     def test_each_node_address_is_a_singleton_class(self):
-        classes = destination_classes(line3())
+        classes = destination_classes(build_transfers(line3()))
         singletons = [c.intervals for c in classes if len(c) == 1]
         for node in (1, 2, 3):
             assert ((node, node),) in singletons
 
+    def test_fib_keys_group_by_their_next_hop_vector(self):
+        spec = FlowSpec.from_dict(
+            {
+                "name": "keys",
+                "nodes": [1, 2],
+                "edges": [[1, 2]],
+                "fibs": {"1": {"7": 2, "9": 2, "8": 2}, "2": {"7": 1, "9": 1}},
+            }
+        )
+        classes = destination_classes(build_transfers(spec))
+        assert [c.intervals for c in classes] == [
+            ((0, 0), (3, 6), (10, 0xFFFF)),  # routed nowhere
+            ((1, 1),),
+            ((2, 2),),
+            ((7, 7), (9, 9)),  # 1 -> 2, 2 -> 1
+            ((8, 8),),  # 1 -> 2, 2 has no route
+        ]
+
 
 class TestFindLoops:
     def test_clean_spec_has_no_loops(self):
-        assert find_loops(line3()) == []
+        graph = build_transfers(line3())
+        assert find_loops(graph, destination_classes(graph)) == []
 
     def test_two_node_bounce_is_found_with_its_destinations(self):
-        loops = find_loops(looped())
+        graph = build_transfers(looped())
+        loops = find_loops(graph, destination_classes(graph))
         assert len(loops) == 1
         assert loops[0].cycle == (1, 2)
         assert 3 in loops[0].destinations
 
     def test_default_injections_pin_src_and_ttl(self):
+        # Every walk starts at its ingress with the spec's TTL, and the
+        # ingress is the packets' src: the data plane never rewrites it.
         spec = line3()
-        injections = default_injections(spec)
-        sample = injections[2].sample()
-        assert sample["src"] == 2 and sample["ttl"] == spec.ttl
+        graph = build_transfers(spec)
+        for cls in destination_classes(graph):
+            for src in spec.nodes:
+                assert walk(graph, src, cls).visits[0] == (src, spec.ttl)

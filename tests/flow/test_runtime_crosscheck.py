@@ -1,13 +1,12 @@
 """Symbolic verdicts against the live data plane.
 
-The analyzer claims to predict the runtime: a packet the symbolic
-engine puts in a drop set must bump the matching
+The analyzer claims to predict the runtime: a packet the static
+decision drops must bump the matching
 ``forwarding/<addr>/...`` counter when actually sent, and the counter
 names must equal the symbolic drop kinds (the satellite's dual-count
 contract).
 """
 
-from repro.flow.sets import cube
 from repro.flow.spec import FlowSpec
 from repro.flow.transfer import DROP_NO_ROUTE, DROP_TTL, NodeTransfer
 from repro.network.forwarding import NO_ROUTE, TTL_EXPIRED
@@ -37,10 +36,8 @@ def test_predicted_no_route_drop_bumps_the_counter():
     spec = FlowSpec.from_topology(topo)
     packet = DataPacket.make(src=2, dst=999, payload=b"")
 
-    step = NodeTransfer(spec, 1).apply(
-        cube(src=packet.src, dst=packet.dst, ttl=packet.ttl)
-    )
-    assert not step.dropped[DROP_NO_ROUTE].is_empty  # the prediction
+    fate, _, _ = NodeTransfer(spec, 1).decide(packet.dst, packet.ttl)
+    assert fate == DROP_NO_ROUTE  # the prediction
 
     before = registry.counter("forwarding/1/no_route")
     topo.routers[1].forwarding.forward(packet)
@@ -55,10 +52,8 @@ def test_predicted_ttl_expiry_bumps_the_counter():
     spec = FlowSpec.from_topology(topo)
     packet = DataPacket.make(src=1, dst=3, payload=b"", ttl=1)
 
-    step = NodeTransfer(spec, 2).apply(
-        cube(src=packet.src, dst=packet.dst, ttl=packet.ttl)
-    )
-    assert not step.dropped[DROP_TTL].is_empty  # the prediction
+    fate, _, _ = NodeTransfer(spec, 2).decide(packet.dst, packet.ttl)
+    assert fate == DROP_TTL  # the prediction
 
     topo.routers[2].forwarding.forward(packet)
     assert registry.counter("forwarding/2/ttl_expired") == 1

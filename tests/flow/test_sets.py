@@ -1,15 +1,14 @@
-"""The symbolic packet-set algebra: intervals, ternary patterns, cubes."""
+"""The symbolic packet sets: intervals and cubes.
 
-import pytest
+The live engine needs only interval algebra and witness cubes.  The
+cube algebra (union, subtraction, negation, TTL shift) lives on in the
+frozen fixpoint ``reference_reach`` that the differential test compares
+against, and is tested here through that copy.
+"""
 
-from repro.core.errors import ConfigurationError
-from repro.flow.sets import (
-    FIELDS,
-    IntervalSet,
-    PacketSet,
-    cube,
-    ternary_intervals,
-)
+from repro.flow.sets import FIELDS, IntervalSet, PacketSet, cube
+
+from . import reference_reach as ref
 
 
 class TestIntervalSet:
@@ -26,13 +25,16 @@ class TestIntervalSet:
         assert a.subtract(b).intervals == ((0, 4), (26, 30))
 
     def test_complement_within_universe(self):
+        # the routed-nowhere class is the universe minus every FIB key
         s = IntervalSet.from_intervals([(2, 3), (8, 9)])
-        assert s.complement(0, 9).intervals == ((0, 1), (4, 7))
-        assert IntervalSet.empty().complement(0, 3).intervals == ((0, 3),)
+        assert IntervalSet.span(0, 9).subtract(s).intervals == ((0, 1), (4, 7))
+        assert IntervalSet.span(0, 3).subtract(IntervalSet.empty()).intervals == (
+            (0, 3),
+        )
 
     def test_shift_clips_to_bounds(self):
         s = IntervalSet.from_intervals([(0, 2), (250, 255)])
-        shifted = s.shift(-1, 0, 255)
+        shifted = ref.shift(s, -1, 0, 255)
         assert shifted.intervals == ((0, 1), (249, 254))
 
     def test_membership_and_min(self):
@@ -46,25 +48,6 @@ class TestIntervalSet:
         assert IntervalSet.of().is_empty
 
 
-class TestTernary:
-    def test_exact_pattern(self):
-        assert ternary_intervals("0101").intervals == ((5, 5),)
-
-    def test_wildcard_suffix_is_one_interval(self):
-        assert ternary_intervals("01xx").intervals == ((4, 7),)
-
-    def test_wildcard_in_the_middle_splits(self):
-        # 1x0 -> {100, 110} = {4, 6}
-        assert ternary_intervals("1x0").intervals == ((4, 4), (6, 6))
-
-    def test_all_wildcards_cover_the_space(self):
-        assert ternary_intervals("xxxx").intervals == ((0, 15),)
-
-    def test_rejects_bad_characters(self):
-        with pytest.raises(ConfigurationError):
-            ternary_intervals("01z")
-
-
 class TestPacketSet:
     def test_cube_accepts_ints_pairs_and_sets(self):
         ps = cube(src=3, dst=(10, 20), ttl=IntervalSet.of(32))
@@ -73,18 +56,18 @@ class TestPacketSet:
         assert 10 <= sample["dst"] <= 20
 
     def test_count_is_exact_over_unions(self):
-        a = cube(dst=(0, 9), src=1, ttl=1)
-        b = cube(dst=(5, 14), src=1, ttl=1)
+        a = ref.cube(dst=(0, 9), src=1, ttl=1)
+        b = ref.cube(dst=(5, 14), src=1, ttl=1)
         assert a.union(b).count() == 15  # not 10 + 10
 
     def test_union_keeps_cubes_disjoint(self):
-        a = cube(dst=(0, 9))
+        a = ref.cube(dst=(0, 9))
         u = a.union(a)
         assert u.count() == a.count()
 
     def test_subtract_and_negate_partition_the_universe(self):
-        a = cube(dst=(100, 200), ttl=(1, 10))
-        everything = PacketSet.all()
+        a = ref.cube(dst=(100, 200), ttl=(1, 10))
+        everything = ref.PacketSet.all()
         assert a.union(a.negate()).count() == everything.count()
         assert a.intersect(a.negate()).is_empty
         assert everything.subtract(a).count() == (
@@ -92,22 +75,27 @@ class TestPacketSet:
         )
 
     def test_constrain_and_project(self):
-        ps = cube(dst=(0, 50)).constrain("dst", IntervalSet.of(7, 99))
+        ps = ref.cube(dst=(0, 50)).constrain("dst", IntervalSet.of(7, 99))
         assert ps.project("dst").intervals == ((7, 7),)
+        witness = PacketSet(cube(src=1, dst=(4, 6)).cubes + cube(src=2, dst=9).cubes)
+        assert witness.project("dst").intervals == ((4, 6), (9, 9))
 
     def test_shift_field_models_ttl_decrement(self):
-        ps = cube(ttl=(1, 3)).shift_field("ttl", -1)
+        ps = ref.cube(ttl=(1, 3)).shift_field("ttl", -1)
         assert ps.project("ttl").intervals == ((0, 2),)
 
     def test_contains_concrete_packet(self):
-        ps = cube(src=1, dst=(4, 6))
+        ps = ref.cube(src=1, dst=(4, 6))
         assert ps.contains({"src": 1, "dst": 5, "ttl": 0})
         assert not ps.contains({"src": 2, "dst": 5, "ttl": 0})
 
     def test_as_dict_is_canonical_across_cube_order(self):
-        a = cube(dst=(0, 4)).union(cube(dst=(10, 14)))
-        b = cube(dst=(10, 14)).union(cube(dst=(0, 4)))
-        assert a.as_dict() == b.as_dict()
+        low, high = cube(dst=(0, 4)).cubes, cube(dst=(10, 14)).cubes
+        assert PacketSet(low + high).as_dict() == PacketSet(high + low).as_dict()
+
+    def test_sample_is_the_least_packet_of_the_first_cube(self):
+        witness = PacketSet(cube(src=2, dst=(5, 6), ttl=9).cubes + cube(src=1, dst=3).cubes)
+        assert witness.sample() == {"src": 2, "dst": 5, "ttl": 9}
 
     def test_fields_registry_shape(self):
         assert set(FIELDS) == {"src", "dst", "ttl"}

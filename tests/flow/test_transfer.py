@@ -1,18 +1,19 @@
 """NodeTransfer mirrors ForwardingSublayer.forward branch-for-branch.
 
 The cross-validation harness drives both the concrete sublayer and the
-symbolic transfer with the same packets and asserts identical fates —
+static decision with the same packets and asserts identical fates —
 the guarantee that lets a static verdict speak for the runtime.
 """
 
 import pytest
 
-from repro.flow.sets import cube
 from repro.flow.spec import FlowSpec
 from repro.flow.transfer import (
+    DELIVERED,
     DROP_NO_INTERFACE,
     DROP_NO_ROUTE,
     DROP_TTL,
+    FORWARDED,
     NodeTransfer,
     build_transfers,
 )
@@ -30,7 +31,9 @@ SPEC = FlowSpec.from_dict(
 )
 
 
-def concrete_fate(packet: DataPacket) -> tuple[str, int | None, int | None]:
+def concrete_fate(
+    packet: DataPacket, originate: bool = False
+) -> tuple[str, int | None, int | None]:
     """(fate, next_hop, out_ttl) from a real ForwardingSublayer."""
     sent: list[tuple[int, DataPacket]] = []
     interfaces = {2: 0, 3: 1}  # next_hop -> interface, 4 unresolvable
@@ -42,13 +45,16 @@ def concrete_fate(packet: DataPacket) -> tuple[str, int | None, int | None]:
     sublayer.install({2: 2, 3: 3, 4: 4})
     delivered: list[DataPacket] = []
     sublayer.on_deliver = delivered.append
-    sublayer.forward(packet)
+    if originate:
+        sublayer.originate(packet)
+    else:
+        sublayer.forward(packet)
     if delivered:
-        return ("delivered", None, None)
+        return (DELIVERED, None, None)
     if sent:
         interface, out = sent[0]
         next_hop = {0: 2, 1: 3}[interface]
-        return ("forwarded", next_hop, out.ttl)
+        return (FORWARDED, next_hop, out.ttl)
     state = sublayer.state
     for fate, counter in (
         (DROP_NO_ROUTE, state.dropped_no_route),
@@ -60,20 +66,12 @@ def concrete_fate(packet: DataPacket) -> tuple[str, int | None, int | None]:
     raise AssertionError("packet vanished")
 
 
-def symbolic_fate(packet: DataPacket) -> tuple[str, int | None, int | None]:
-    """The same classification from the symbolic transfer function."""
+def static_fate(
+    packet: DataPacket, originate: bool = False
+) -> tuple[str, int | None, int | None]:
+    """The same classification from the node's static decision."""
     transfer = NodeTransfer(SPEC, 1)
-    one = cube(src=packet.src, dst=packet.dst, ttl=packet.ttl)
-    step = transfer.apply(one, originate=False)
-    if not step.delivered.is_empty:
-        return ("delivered", None, None)
-    for next_hop, out in step.forwarded.items():
-        if not out.is_empty:
-            return ("forwarded", next_hop, out.sample()["ttl"])
-    for kind, dropped in step.dropped.items():
-        if not dropped.is_empty:
-            return (kind, None, None)
-    raise AssertionError("packet set vanished")
+    return transfer.decide(packet.dst, packet.ttl, originate)
 
 
 CASES = [
@@ -89,16 +87,20 @@ CASES = [
 
 @pytest.mark.parametrize("packet", CASES, ids=lambda p: f"dst{p.dst}ttl{p.ttl}")
 def test_symbolic_matches_concrete(packet):
-    assert symbolic_fate(packet) == concrete_fate(packet)
+    assert static_fate(packet) == concrete_fate(packet)
+
+
+@pytest.mark.parametrize("packet", CASES, ids=lambda p: f"dst{p.dst}ttl{p.ttl}")
+def test_origination_matches_concrete(packet):
+    assert static_fate(packet, originate=True) == concrete_fate(
+        packet, originate=True
+    )
 
 
 def test_originate_skips_ttl_check_and_decrement():
     transfer = NodeTransfer(SPEC, 1)
-    one = cube(src=1, dst=3, ttl=1)
-    step = transfer.apply(one, originate=True)
-    out = step.forwarded[3]
-    assert out.sample()["ttl"] == 1  # not decremented, not expired
-    assert all(d.is_empty for d in step.dropped.values())
+    # not decremented, not expired
+    assert transfer.decide(3, 1, originate=True) == (FORWARDED, 3, 1)
 
 
 def test_exhaustive_sweep_over_small_universe():
@@ -106,7 +108,10 @@ def test_exhaustive_sweep_over_small_universe():
     for dst in [1, 2, 3, 4, 50]:
         for ttl in [1, 2, 31]:
             packet = DataPacket.make(src=2, dst=dst, payload=b"", ttl=ttl)
-            assert symbolic_fate(packet) == concrete_fate(packet), (dst, ttl)
+            for originate in (False, True):
+                assert static_fate(packet, originate) == concrete_fate(
+                    packet, originate
+                ), (dst, ttl, originate)
 
 
 def test_transfer_graph_covers_every_node():
